@@ -1,16 +1,15 @@
 """Benchmarks of fragment-variant execution (the simulation hot path).
 
-Measures the cost of producing a full :class:`~repro.cutting.execution.FragmentData`
-across cut counts, three ways:
+Measures the cost of producing the full fragment records of the paper's
+single cut — the 2-node fragment tree — across cut counts, three ways:
 
-* ``fragments-exact`` — the production cached path
-  (:func:`~repro.cutting.execution.exact_fragment_data`): one upstream body
-  simulation + one batched downstream simulation serve all ``3^K + 6^K``
-  variants;
-* ``fragments-exact-reference`` — the pre-cache semantics: every variant
+* ``tree2-exact`` — the production cached path
+  (:func:`~repro.cutting.execution.exact_tree_data`): one batched body
+  simulation per fragment serves all ``3^K + 6^K`` variants;
+* ``tree2-exact-reference`` — the pre-cache semantics: every variant
   circuit simulated from scratch (the ``3^K + 6^K`` scaling the paper's
   cost model counts);
-* ``fragments-sampled`` — :func:`~repro.cutting.execution.run_fragments`
+* ``tree2-sampled`` — :func:`~repro.cutting.execution.run_tree_fragments`
   against the ideal backend (cache + multinomial sampling).
 
 Baselines live in ``benchmarks/BENCH_fragments.json``; refresh with
@@ -21,62 +20,47 @@ tree against them with ``python benchmarks/compare.py``.
 import pytest
 
 from repro.backends import IdealBackend
-from repro.cutting import bipartition
-from repro.cutting.execution import _split_upstream_probs, exact_fragment_data
-from repro.cutting.execution import run_fragments
-from repro.cutting.variants import (
-    downstream_init_tuples,
-    downstream_variant,
-    upstream_setting_tuples,
-    upstream_variant,
-)
+from repro.cutting.execution import exact_tree_data, run_tree_fragments
+from repro.cutting.tree import partition_tree
+from repro.cutting.variants import tree_variant, tree_variant_tuples
 from repro.harness.scaling import multi_cut_golden_circuit
 from repro.sim import simulate_statevector
 
-_PAIRS = {}
+_TREES = {}
 for K in (1, 2, 3):
     qc, spec = multi_cut_golden_circuit(K, extra_up=2, extra_down=2, depth=2, seed=900 + K)
-    _PAIRS[K] = bipartition(qc, spec)
+    _TREES[K] = partition_tree(qc, [spec])
 
 
-def _exact_reference(pair):
+def _exact_reference(tree):
     """Simulate every physical variant circuit (pre-cache semantics)."""
-    K = pair.num_cuts
-    upstream = {
-        tuple(s): _split_upstream_probs(
-            simulate_statevector(upstream_variant(pair, s)).probabilities(), pair
-        )
-        for s in upstream_setting_tuples(K)
-    }
-    downstream = {
-        tuple(i): simulate_statevector(downstream_variant(pair, i)).probabilities()
-        for i in downstream_init_tuples(K)
-    }
-    return upstream, downstream
+    return [
+        simulate_statevector(tree_variant(tree, i, a, s)).probabilities()
+        for i in range(tree.num_fragments)
+        for a, s in tree_variant_tuples(tree, i)
+    ]
 
 
-@pytest.mark.benchmark(group="fragments-exact")
+@pytest.mark.benchmark(group="tree2-exact")
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_exact_fragment_data_cached(benchmark, K):
-    pair = _PAIRS[K]
-    data = benchmark(exact_fragment_data, pair)
+def test_exact_tree2_data_cached(benchmark, K):
+    data = benchmark(exact_tree_data, _TREES[K])
     assert data.num_variants == 3**K + 6**K
 
 
-@pytest.mark.benchmark(group="fragments-exact-reference")
+@pytest.mark.benchmark(group="tree2-exact-reference")
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_exact_fragment_data_reference(benchmark, K):
-    pair = _PAIRS[K]
-    upstream, downstream = benchmark(_exact_reference, pair)
-    assert len(upstream) + len(downstream) == 3**K + 6**K
+def test_exact_tree2_data_reference(benchmark, K):
+    probs = benchmark(_exact_reference, _TREES[K])
+    assert len(probs) == 3**K + 6**K
 
 
-@pytest.mark.benchmark(group="fragments-sampled")
+@pytest.mark.benchmark(group="tree2-sampled")
 @pytest.mark.parametrize("K", [1, 2])
-def test_run_fragments_ideal(benchmark, K):
-    pair = _PAIRS[K]
+def test_run_tree2_fragments_ideal(benchmark, K):
+    tree = _TREES[K]
     data = benchmark(
-        lambda: run_fragments(pair, IdealBackend(), shots=1000, seed=0)
+        lambda: run_tree_fragments(tree, IdealBackend(), shots=1000, seed=0)
     )
     assert data.num_variants == 3**K + 6**K
 

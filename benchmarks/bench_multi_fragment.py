@@ -33,10 +33,7 @@ from repro.backends.base import Backend
 from repro.backends.fake_hardware import FakeHardwareBackend
 from repro.cutting.chain import partition_chain
 from repro.cutting.execution import exact_chain_data, run_chain_fragments
-from repro.cutting.reconstruction import (
-    reconstruct_chain_distribution,
-    reconstruct_chain_distribution_reference,
-)
+from repro.cutting.reconstruction import reconstruct_chain_distribution
 from repro.cutting.variants import chain_variant_tuples
 from repro.harness.scaling import chain_cut_circuit
 from repro.noise.kraus import (
@@ -47,6 +44,8 @@ from repro.noise.kraus import (
 from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError
 from repro.transpile.coupling import CouplingMap
+
+from tests.oracles import reconstruct_chain_distribution_reference
 
 _SHOTS = 1000
 _CUTS_PER_GROUP = 2

@@ -1,18 +1,22 @@
 """Benchmarks of *noisy* fragment-variant execution (the hardware hot path).
 
-Measures the cost of producing a full fragment-variant result set on the
-fake-hardware (density-matrix) backend across cut counts, two ways:
+Measures the cost of producing the full fragment records of the paper's
+single cut — the 2-node fragment tree — on the fake-hardware
+(density-matrix) backend across cut counts, three ways:
 
-* ``noisy-fragments-cached`` — the production fast path:
-  :meth:`~repro.backends.fake_hardware.FakeHardwareBackend.run_variants`
-  served by a fresh :class:`~repro.cutting.noisy_cache.NoisyFragmentSimCache`
-  (one transpile per fragment body, ``1 + 4^K`` noisy evolutions total);
-* ``noisy-fragments-reference`` — the pre-cache semantics: every variant
+* ``noisy-tree2-cached`` — the production fast path:
+  :func:`~repro.cutting.execution.run_tree_fragments` served by a cold
+  cache pool (one transpile per fragment body, ``1 + 4^K`` noisy body
+  evolutions plus ``3^K`` batched rotation passes in total);
+* ``noisy-tree2-reference`` — the pre-cache semantics: every variant
   circuit transpiled and density-evolved from scratch (``3^K + 6^K``
-  transpiles + evolutions, what the paper's cost model counts).
+  transpiles + evolutions, what the paper's cost model counts);
+* ``noisy-tree2-warm`` — marginal cost of re-serving every variant from a
+  warmed pool (the pilot→production reuse inside
+  :func:`repro.core.pipeline.cut_and_run`).
 
-Both paths produce identical counts (asserted once per case at ≤ 1e-9 on
-the underlying distributions by ``tests/test_noisy_fast_path_equivalence``).
+Both paths produce identical counts (pinned at ≤ 1e-9 on the underlying
+distributions by ``tests/test_noisy_fast_path_equivalence.py``).
 Baselines live in ``benchmarks/BENCH_noisy_fragments.json``; refresh with
 ``python benchmarks/compare.py --write-baseline --suite noisy_fragments``
 and compare a working tree against them with
@@ -23,11 +27,9 @@ import pytest
 
 from repro.backends.base import Backend
 from repro.backends.fake_hardware import FakeHardwareBackend
-from repro.cutting import bipartition
-from repro.cutting.variants import (
-    downstream_init_tuples,
-    upstream_setting_tuples,
-)
+from repro.cutting.execution import run_tree_fragments
+from repro.cutting.tree import partition_tree
+from repro.cutting.variants import tree_variant_tuples
 from repro.harness.scaling import multi_cut_golden_circuit
 from repro.noise.kraus import (
     amplitude_damping,
@@ -57,74 +59,63 @@ def _device() -> FakeHardwareBackend:
     )
 
 
-_PAIRS = {}
+_TREES = {}
 for K in (1, 2, 3):
     qc, spec = multi_cut_golden_circuit(
         K, extra_up=2, extra_down=2, depth=2, seed=900 + K
     )
-    _PAIRS[K] = bipartition(qc, spec)
+    _TREES[K] = partition_tree(qc, [spec])
 
 
-def _run_cached(pair):
-    """Fast path: run_variants + fresh NoisyFragmentSimCache (cold)."""
+def _variants(tree):
+    return [tree_variant_tuples(tree, i) for i in range(tree.num_fragments)]
+
+
+def _run_cached(tree):
+    """Fast path: run_tree_fragments + a fresh (cold) cache pool."""
     dev = _device()
-    K = pair.num_cuts
-    return dev.run_variants(
-        pair,
-        upstream_setting_tuples(K),
-        downstream_init_tuples(K),
-        shots=_SHOTS,
-        seed=0,
+    return run_tree_fragments(
+        tree, dev, shots=_SHOTS, seed=0, pool=dev.make_tree_cache_pool(tree)
     )
 
 
-def _run_reference(pair):
+def _run_reference(tree):
     """Pre-cache semantics: every variant circuit through ``_execute``."""
     dev = _device()
-    K = pair.num_cuts
     # the base-class implementation materialises and executes each circuit
-    return Backend.run_variants(
-        dev,
-        pair,
-        upstream_setting_tuples(K),
-        downstream_init_tuples(K),
-        shots=_SHOTS,
-        seed=0,
-    )
-
-
-@pytest.mark.benchmark(group="noisy-fragments-cached")
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_noisy_variants_cached(benchmark, K):
-    pair = _PAIRS[K]
-    results = benchmark(_run_cached, pair)
-    assert len(results) == 3**K + 6**K
-
-
-@pytest.mark.benchmark(group="noisy-fragments-reference")
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_noisy_variants_reference(benchmark, K):
-    pair = _PAIRS[K]
-    results = benchmark.pedantic(
-        _run_reference, args=(pair,), rounds=3, iterations=1, warmup_rounds=1
-    )
-    assert len(results) == 3**K + 6**K
-
-
-@pytest.mark.benchmark(group="noisy-fragments-warm")
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_noisy_variants_warm_cache(benchmark, K):
-    """Marginal cost of re-serving all variants from a warmed cache — the
-    pilot→production reuse inside :func:`repro.core.pipeline.cut_and_run`."""
-    pair = _PAIRS[K]
-    K_ = pair.num_cuts
-    dev = _device()
-    settings = upstream_setting_tuples(K_)
-    inits = downstream_init_tuples(K_)
-    cache = dev.make_variant_cache(pair).warm(settings, inits)
-    results = benchmark(
-        lambda: dev.run_variants(
-            pair, settings, inits, shots=_SHOTS, seed=0, cache=cache
+    return [
+        res
+        for i, combos in enumerate(_variants(tree))
+        for res in Backend.run_tree_variants(
+            dev, tree, i, combos, shots=_SHOTS, seed=0
         )
+    ]
+
+
+@pytest.mark.benchmark(group="noisy-tree2-cached")
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_noisy_tree2_cached(benchmark, K):
+    data = benchmark(_run_cached, _TREES[K])
+    assert data.num_variants == 3**K + 6**K
+
+
+@pytest.mark.benchmark(group="noisy-tree2-reference")
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_noisy_tree2_reference(benchmark, K):
+    results = benchmark.pedantic(
+        _run_reference, args=(_TREES[K],), rounds=3, iterations=1, warmup_rounds=1
     )
     assert len(results) == 3**K + 6**K
+
+
+@pytest.mark.benchmark(group="noisy-tree2-warm")
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_noisy_tree2_warm_pool(benchmark, K):
+    """Marginal cost of re-serving all variants from a warmed pool."""
+    tree = _TREES[K]
+    dev = _device()
+    pool = dev.make_tree_cache_pool(tree).warm(_variants(tree))
+    data = benchmark(
+        lambda: run_tree_fragments(tree, dev, shots=_SHOTS, seed=0, pool=pool)
+    )
+    assert data.num_variants == 3**K + 6**K

@@ -6,7 +6,7 @@ This bench measures exactly that trade: total executions (pilot + main) of
 
 * standard (no detection, no savings),
 * known (paper mode: free knowledge, full savings),
-* detect (pilot cost, then savings) — single-shot and sequential pilots,
+* detect (pilot cost, then savings),
 
 on a golden workload and on a generic workload where there is nothing to
 find (detection must not lose accuracy, only waste its pilot).
@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backends import IdealBackend
-from repro.core import cut_and_run, golden_ansatz, sequential_detect
-from repro.cutting import bipartition
+from repro.core import cut_and_run, golden_ansatz
 from repro.harness.report import format_table
 from repro.metrics import total_variation
 from repro.sim import simulate_statevector
@@ -43,33 +42,16 @@ def test_detect_pipeline(benchmark):
     assert run.golden_used == {0: "Y"}
 
 
-@pytest.mark.benchmark(group="detection-pipelines")
-def test_sequential_detector(benchmark):
-    pair = bipartition(_spec.circuit, _spec.cut_spec)
-
-    def seq():
-        return sequential_detect(
-            pair, IdealBackend(), stage_shots=(250, 1000, 4000), seed=4
-        )
-
-    res = benchmark(seq)
-    assert "Y" in res.golden_map().get(0, [])
-
-
 def test_detection_economics_table(benchmark):
     benchmark.pedantic(lambda: _run("off"), rounds=1, iterations=1)
     rows = []
     r_std = _run("off")
     r_known = _run("known")
     r_det = _run("detect", pilot=1000)
-    pair = bipartition(_spec.circuit, _spec.cut_spec)
-    seq = sequential_detect(
-        pair, IdealBackend(), stage_shots=(250, 1000, 4000), seed=4
-    )
     for label, run, pilot_cost in (
         ("standard (no detection)", r_std, 0),
         ("known a priori (paper)", r_known, 0),
-        ("detect, single pilot", r_det, 1000 * 3),
+        ("detect, single pilot", r_det, r_det.tree_run.pilot_executions),
     ):
         rows.append(
             {
@@ -80,15 +62,6 @@ def test_detection_economics_table(benchmark):
                 "TV error": round(total_variation(run.probabilities, _truth), 4),
             }
         )
-    rows.append(
-        {
-            "strategy": "sequential detector alone",
-            "pilot executions": seq.shots_spent,
-            "main executions": "-",
-            "total": seq.shots_spent,
-            "TV error": "-",
-        }
-    )
     register_report(
         format_table(
             rows,
@@ -97,6 +70,6 @@ def test_detection_economics_table(benchmark):
             f"= {9 * SHOTS - 6 * SHOTS} executions)",
         )
     )
-    total_det = 3000 + r_det.total_executions
+    total_det = r_det.tree_run.pilot_executions + r_det.total_executions
     assert total_det < r_std.total_executions  # detection paid for itself
     assert r_det.golden_used == {0: "Y"}

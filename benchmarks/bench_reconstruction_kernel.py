@@ -1,13 +1,12 @@
 """Microbenchmarks of the classical reconstruction kernels.
 
-Separates the two stages of Fig. 4's classical cost: building the fragment
-tensors (Â, B̂) and the final GEMM contraction, across cut counts — useful
-for profiling regressions in the hot path (HPC guide: measure, don't guess).
-
-The ``kernel-tensors`` group measures the production (factorised) builders;
-``kernel-tensors-reference`` measures the row-by-row reference builders the
-fast path is validated against, so the speedup of the vectorisation is
-visible in every run.  Baselines: see ``benchmarks/compare.py``
+Separates the two stages of Fig. 4's classical cost on the paper's single
+cut (the 2-node fragment tree): building each fragment's reduced tensor
+(the measuring root's Â and the preparing leaf's B̂) and the whole
+reconstruction including the contraction, across cut counts — useful for
+profiling regressions in the hot path (HPC guide: measure, don't guess).
+The brute-force row loops the kernels are validated against live with the
+tests (``tests/oracles.py``).  Baselines: see ``benchmarks/compare.py``
 (``python benchmarks/compare.py --write-baseline`` refreshes
 ``benchmarks/BENCH_reconstruction.json``).
 """
@@ -15,61 +14,38 @@ visible in every run.  Baselines: see ``benchmarks/compare.py``
 import numpy as np
 import pytest
 
-from repro.cutting import bipartition
-from repro.cutting.execution import exact_fragment_data
+from repro.cutting.execution import exact_tree_data
 from repro.cutting.reconstruction import (
-    build_downstream_tensor,
-    build_downstream_tensor_reference,
-    build_upstream_tensor,
-    build_upstream_tensor_reference,
-    reconstruct_distribution,
+    build_tree_fragment_tensor,
+    reconstruct_tree_distribution,
 )
+from repro.cutting.tree import partition_tree
 from repro.harness.scaling import multi_cut_golden_circuit
 
 _CASES = {}
 for K in (1, 2, 3):
     qc, spec = multi_cut_golden_circuit(K, extra_up=2, extra_down=2, depth=2, seed=900 + K)
-    pair = bipartition(qc, spec)
-    _CASES[K] = (pair, exact_fragment_data(pair))
+    _CASES[K] = exact_tree_data(partition_tree(qc, [spec]))
 
 
 @pytest.mark.benchmark(group="kernel-tensors")
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_build_upstream_tensor(benchmark, K):
-    _, data = _CASES[K]
-    A, rows = benchmark(build_upstream_tensor, data)
-    assert A.shape[0] == 4**K
+def test_build_measuring_tensor(benchmark, K):
+    A, _, (rows,) = benchmark(build_tree_fragment_tensor, _CASES[K], 0)
+    assert len(rows) == 4**K
 
 
 @pytest.mark.benchmark(group="kernel-tensors")
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_build_downstream_tensor(benchmark, K):
-    _, data = _CASES[K]
-    B, rows = benchmark(build_downstream_tensor, data)
-    assert B.shape[0] == 4**K
-
-
-@pytest.mark.benchmark(group="kernel-tensors-reference")
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_build_upstream_tensor_reference(benchmark, K):
-    _, data = _CASES[K]
-    A, rows = benchmark(build_upstream_tensor_reference, data)
-    assert A.shape[0] == 4**K
-
-
-@pytest.mark.benchmark(group="kernel-tensors-reference")
-@pytest.mark.parametrize("K", [1, 2, 3])
-def test_build_downstream_tensor_reference(benchmark, K):
-    _, data = _CASES[K]
-    B, rows = benchmark(build_downstream_tensor_reference, data)
+def test_build_preparing_tensor(benchmark, K):
+    B, rows, _ = benchmark(build_tree_fragment_tensor, _CASES[K], 1)
     assert B.shape[0] == 4**K
 
 
 @pytest.mark.benchmark(group="kernel-full")
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_full_reconstruction(benchmark, K):
-    pair, data = _CASES[K]
-    p = benchmark(reconstruct_distribution, data, postprocess="raw")
+def test_full_tree_reconstruction(benchmark, K):
+    p = benchmark(reconstruct_tree_distribution, _CASES[K], postprocess="raw")
     assert np.isclose(p.sum(), 1.0, atol=1e-8)
 
 

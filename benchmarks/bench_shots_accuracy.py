@@ -11,7 +11,6 @@ import pytest
 
 from repro.backends import IdealBackend
 from repro.core import cut_and_run, golden_ansatz
-from repro.cutting.variance import predicted_stddev_tv
 from repro.harness.report import format_table
 from repro.metrics import total_variation
 from repro.sim import simulate_statevector

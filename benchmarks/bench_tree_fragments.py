@@ -32,10 +32,7 @@ import pytest
 from repro.backends.base import Backend
 from repro.backends.fake_hardware import FakeHardwareBackend
 from repro.cutting.execution import exact_tree_data, run_tree_fragments
-from repro.cutting.reconstruction import (
-    reconstruct_tree_distribution,
-    reconstruct_tree_distribution_reference,
-)
+from repro.cutting.reconstruction import reconstruct_tree_distribution
 from repro.cutting.tree import partition_tree
 from repro.cutting.variants import tree_variant_tuples
 from repro.harness.scaling import tree_cut_circuit
@@ -47,6 +44,8 @@ from repro.noise.kraus import (
 from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError
 from repro.transpile.coupling import CouplingMap
+
+from tests.oracles import reconstruct_tree_distribution_reference
 
 _SHOTS = 1000
 _PARENTS = [0, 0, 1, 1]  # two-level tree, interior node with 2 child groups

@@ -34,8 +34,10 @@ Compare the working tree against the baselines (the default)::
 
     PYTHONPATH=src python benchmarks/compare.py
 
-re-runs both suites into a temporary directory and prints a per-benchmark
-table of ``baseline_mean / current_mean`` speedups.  ``--fail-on-regression``
+re-runs the suites into a temporary directory and prints a per-benchmark
+table of ``baseline_mean / current_mean`` speedups; cells new in the
+working tree print as ``NEW`` and baseline cells the working tree no longer
+runs print as ``GONE``, so a deleted benchmark never disappears silently.  ``--fail-on-regression``
 exits non-zero when any benchmark got slower than ``--max-regression``
 (default 1.5×) — wire this into CI once machines are stable enough.
 
@@ -138,7 +140,7 @@ def compare(
             baseline = load_stats(baseline_path)
             current = load_stats(current_path)
             print(f"\n== {bench_file} (vs {json_name}) ==")
-            width = max((len(n) for n in current), default=0)
+            width = max((len(n) for n in {**baseline, **current}), default=0)
             for name, stats in sorted(current.items()):
                 mean = stats["mean"]
                 base = baseline.get(name)
@@ -168,6 +170,11 @@ def compare(
                     f"{name:<{width}}  {base['mean'] * 1e3:9.3f} ms ->"
                     f" {mean * 1e3:9.3f} ms"
                     f"  ({1 / ratio:5.2f}x speedup){mem_col}{flag}"
+                )
+            for name in sorted(set(baseline) - set(current)):
+                print(
+                    f"{name:<{width}}  GONE       "
+                    f"{baseline[name]['mean'] * 1e3:9.3f} ms"
                 )
     if regressions:
         print("\nregressions beyond threshold:")

@@ -19,20 +19,16 @@ import numpy as np
 
 from repro import (
     IdealBackend,
-    bipartition,
     partition_chain,
+    partition_tree,
     simulate_statevector,
 )
-from repro.core.neglect import (
-    reduced_bases,
-    reduced_init_tuples,
-    reduced_setting_tuples,
-)
+from repro.core.neglect import tree_reduced_variants
 from repro.core.pipeline import cut_and_run_chain
-from repro.cutting.execution import exact_chain_data, exact_fragment_data
+from repro.cutting.execution import exact_chain_data, exact_tree_data
 from repro.cutting.reconstruction import (
     reconstruct_chain_distribution,
-    reconstruct_distribution,
+    reconstruct_tree_distribution,
 )
 from repro.harness.report import format_table
 from repro.harness.scaling import (
@@ -45,17 +41,14 @@ from repro.harness.scaling import (
 def main() -> None:
     print("verifying exactness of reduced reconstructions on a K=2 circuit...")
     qc, spec = multi_cut_golden_circuit(2, depth=2, seed=99)
-    pair = bipartition(qc, spec)
+    tree = partition_tree(qc, [spec])  # one cut group: a 2-node tree
     truth = simulate_statevector(qc).probabilities()
     for kg in range(3):
         golden = {k: "Y" for k in range(kg)}
-        data = exact_fragment_data(
-            pair,
-            settings=reduced_setting_tuples(2, golden) if golden else None,
-            inits=reduced_init_tuples(2, golden) if golden else None,
-        )
-        p = reconstruct_distribution(
-            data, bases=reduced_bases(2, golden) if golden else None,
+        bases, variants = tree_reduced_variants(tree, [golden or None])
+        p = reconstruct_tree_distribution(
+            exact_tree_data(tree, variants=variants),
+            bases=bases,
             postprocess="raw",
         )
         err = float(np.abs(p - truth).max())

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro import IdealBackend, cut_and_run
 from repro.circuits import qaoa_maxcut_circuit
-from repro.cutting.variance import predicted_stddev_tv
 from repro.observables import maxcut_hamiltonian
 from repro.sim import simulate_statevector
 
@@ -50,7 +49,7 @@ def main() -> None:
         print(f"  cut {d.cut} basis {d.basis}: {flag:6s} max|z|={d.max_z:.1f}")
 
     energy_cut = run.expectation(cost.diagonal())
-    sigma = predicted_stddev_tv(run.data)
+    sigma = run.predicted_stddev_tv()
     print(f"\n⟨C⟩ exact        = {exact_energy:.4f}")
     print(f"⟨C⟩ from cutting = {energy_cut:.4f}")
     print(f"predicted shot-noise scale (TV proxy) = {sigma:.4f}")

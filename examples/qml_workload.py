@@ -22,7 +22,8 @@ from repro import (
     bipartition,
     cut_and_run,
     find_cuts,
-    find_golden_bases_analytic,
+    find_tree_golden_bases_analytic,
+    partition_tree,
     real_amplitudes_ansatz,
     simulate_statevector,
     total_variation,
@@ -49,7 +50,8 @@ def main() -> None:
     print(f"auto cut search: {cuts.num_cuts} cut(s) on wire(s) {cuts.wires}; "
           f"{pair.describe()}")
 
-    golden = find_golden_bases_analytic(pair)
+    found, _ = find_tree_golden_bases_analytic(partition_tree(qc, [cuts]))
+    golden = found[0]
     print(f"golden bases found analytically: {golden}")
     assert all("Y" in bs for bs in golden.values()), "real ansatz must be Y-golden"
 

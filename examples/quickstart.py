@@ -14,11 +14,11 @@ from repro import (
     IdealBackend,
     cut_and_run,
     draw,
-    find_golden_bases_analytic,
+    find_tree_golden_bases_analytic,
+    partition_tree,
     simulate_statevector,
     three_qubit_example,
     total_variation,
-    bipartition,
 )
 
 SHOTS = 20_000
@@ -34,11 +34,11 @@ def main() -> None:
     print()
 
     truth = simulate_statevector(qc).probabilities()
-    pair = bipartition(qc, spec.cut_spec)
-    print(pair.describe())
+    tree = partition_tree(qc, [spec.cut_spec])  # one cut: a 2-node tree
+    print(tree.describe())
 
-    golden = find_golden_bases_analytic(pair)
-    print(f"analytically golden bases per cut: {golden}")
+    found, _ = find_tree_golden_bases_analytic(tree)
+    print(f"analytically golden bases per cut: {found[0]}")
     print()
 
     backend = IdealBackend()

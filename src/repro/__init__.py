@@ -47,8 +47,9 @@ from repro.core import (
     GoldenDetectionResult,
     cost_report,
     cut_and_run,
-    detect_golden_bases,
-    find_golden_bases_analytic,
+    cut_and_run_tree,
+    detect_tree_golden_bases,
+    find_tree_golden_bases_analytic,
     golden_ansatz,
     predicted_speedup,
     three_qubit_example,
@@ -66,16 +67,12 @@ from repro.cutting import (
     partition_chain,
     partition_tree,
     reconstruct_chain_distribution,
-    reconstruct_distribution,
-    reconstruct_expectation,
     reconstruct_tree_distribution,
     run_chain_fragments,
-    run_fragments,
     run_tree_fragments,
 )
 from repro.cutting.execution import (
     exact_chain_data,
-    exact_fragment_data,
     exact_tree_data,
 )
 from repro.exceptions import ReproError
@@ -109,9 +106,10 @@ __all__ = [
     "golden_ansatz",
     "three_qubit_example",
     "cut_and_run",
+    "cut_and_run_tree",
     "CutRunResult",
-    "find_golden_bases_analytic",
-    "detect_golden_bases",
+    "find_tree_golden_bases_analytic",
+    "detect_tree_golden_bases",
     "GoldenDetectionResult",
     "cost_report",
     "predicted_speedup",
@@ -127,16 +125,12 @@ __all__ = [
     "partition_chain",
     "partition_tree",
     "find_cuts",
-    "run_fragments",
     "run_chain_fragments",
     "run_tree_fragments",
-    "exact_fragment_data",
     "exact_chain_data",
     "exact_tree_data",
-    "reconstruct_distribution",
     "reconstruct_chain_distribution",
     "reconstruct_tree_distribution",
-    "reconstruct_expectation",
     # observables / metrics / sim
     "BitstringProjector",
     "DiagonalObservable",

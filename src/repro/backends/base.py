@@ -164,48 +164,6 @@ class Backend(abc.ABC):
         """Convenience wrapper returning a single result."""
         return self.run(circuit, shots, seed)[0]
 
-    def make_variant_cache(self, pair):
-        """Build the per-pair simulation cache :meth:`run_variants` consumes.
-
-        Returns ``None`` for backends that really execute circuits.  The
-        ideal backend returns a
-        :class:`~repro.cutting.cache.FragmentSimCache`; the fake-hardware
-        backend a
-        :class:`~repro.cutting.noisy_cache.NoisyFragmentSimCache` bound to
-        its coupling map and noise model.  Callers
-        (:func:`~repro.core.pipeline.cut_and_run`,
-        :func:`~repro.parallel.executor.run_fragments_parallel`) build one
-        cache here and thread it through every stage, so fragment bodies
-        are transpiled/simulated exactly once per pipeline invocation.
-        """
-        return None
-
-    def run_variants(
-        self,
-        pair,
-        settings: Sequence[tuple[str, ...]],
-        inits: Sequence[tuple[str, ...]],
-        shots: int = 1000,
-        seed: "int | np.random.Generator | None" = None,
-        cache=None,
-    ) -> list[ExecutionResult]:
-        """Execute fragment variants (upstream settings first, then inits).
-
-        The default implementation materialises the physical variant
-        circuits and submits them through :meth:`run` — each variant draws
-        its own child RNG stream, exactly as a plain batched run would.
-        Backends with an exact simulation engine override this to serve
-        every variant from the shared cache built by
-        :meth:`make_variant_cache` (``cache`` is ignored here, where
-        circuits must really be executed).
-        """
-        from repro.cutting.variants import downstream_variant, upstream_variant
-
-        circuits = [upstream_variant(pair, s) for s in settings] + [
-            downstream_variant(pair, i) for i in inits
-        ]
-        return self.run(circuits, shots=shots, seed=seed)
-
     def make_tree_fragment_cache(self, fragment, dtype=np.float64):
         """Build one tree fragment's simulation cache (``None`` = none).
 
@@ -232,8 +190,8 @@ class Backend(abc.ABC):
     def make_tree_cache_pool(self, tree, dtype=np.float64):
         """Build the per-fragment cache pool :meth:`run_tree_variants` uses.
 
-        The tree analogue of :meth:`make_variant_cache`: ``None`` for
-        backends that really execute circuits; one cache per tree fragment
+        ``None`` for backends that really execute circuits; one cache per
+        tree fragment
         (wrapped in a :class:`~repro.cutting.cache.TreeCachePool`) for the
         ideal and fake-hardware backends, so every fragment body is
         transpiled/simulated exactly once per pipeline invocation —

@@ -14,12 +14,13 @@ Everything is deterministic given a seed.  The noise strength scales with
 transpiled gate counts, so deeper/wider circuits degrade more — the property
 Fig. 3 exercises.
 
-Fragment variants take a fast path: :meth:`FakeHardwareBackend.run_variants`
-serves every measurement/preparation variant of a fragment pair from a
-shared :class:`~repro.cutting.noisy_cache.NoisyFragmentSimCache` — each
-fragment body is transpiled once and evolved ``1 + 4^K`` times total instead
-of once per variant — while charging the timing model per variant job
-exactly as circuit-level execution would.
+Fragment variants take a fast path:
+:meth:`FakeHardwareBackend.run_tree_variants` serves every
+preparation/measurement variant of a fragment from its shared
+:class:`~repro.cutting.noisy_cache.NoisyTreeFragmentSimCache` — each
+fragment body is transpiled once and evolved once per entering Hermitian
+basis state instead of once per variant — while charging the timing model
+per variant job exactly as circuit-level execution would.
 """
 
 from __future__ import annotations
@@ -152,74 +153,6 @@ class FakeHardwareBackend(Backend):
         }
 
     # ------------------------------------------------------------------
-    def make_variant_cache(self, pair):
-        """Fragment variants are served from a :class:`NoisyFragmentSimCache`."""
-        from repro.cutting.noisy_cache import NoisyFragmentSimCache
-
-        return NoisyFragmentSimCache(pair, self.coupling, self.noise_model)
-
-    def run_variants(
-        self,
-        pair,
-        settings: Sequence[tuple[str, ...]],
-        inits: Sequence[tuple[str, ...]],
-        shots: int = 1000,
-        seed: "int | np.random.Generator | None" = None,
-        cache=None,
-    ) -> list[ExecutionResult]:
-        """Serve all fragment variants from one shared noisy-body cache.
-
-        Distributions come from the cache (one transpile + one noisy
-        evolution per upstream body, one transpile + a batched ``4^K``
-        response evolution per downstream body); sampling, RNG streams and
-        virtual-clock charges mirror circuit-level execution per variant.
-        A ``cache`` of the wrong type or built for a different pair is
-        replaced by a fresh one; device *equivalence* cannot be checked and
-        is the caller's contract — the ``cache`` must come from
-        :meth:`make_variant_cache` of this or an identically configured
-        device (as in :func:`~repro.parallel.executor.run_fragments_parallel`,
-        where worker backends share the probe's cache), otherwise the
-        served physics is the cache's device, not this one.
-        """
-        from repro.cutting.noisy_cache import NoisyFragmentSimCache
-
-        if shots <= 0:
-            raise BackendError(f"shots must be positive, got {shots}")
-        for width in (pair.n_up if settings else 0, pair.n_down if inits else 0):
-            if self.max_qubits is not None and width > self.max_qubits:
-                raise BackendError(
-                    f"{self.name}: circuit width {width} exceeds "
-                    f"device size {self.max_qubits}"
-                )
-        if not isinstance(cache, NoisyFragmentSimCache) or cache.pair is not pair:
-            cache = self.make_variant_cache(pair)
-        rngs = spawn_rngs(seed, len(settings) + len(inits))
-        out: list[ExecutionResult] = []
-        jobs = [("up", s) for s in settings] + [("down", i) for i in inits]
-        for (kind, label), rng in zip(jobs, rngs):
-            if kind == "up":
-                probs = cache.upstream_probabilities(label)
-                physical = cache.upstream_physical(label)
-                layout = cache.upstream_layout()
-                width = pair.n_up
-            else:
-                probs = cache.downstream_probabilities(label)
-                physical = cache.downstream_physical(label)
-                layout = cache.downstream_layout()
-                width = pair.n_down
-            counts = sample_counts(probs, shots, seed=rng, num_qubits=width)
-            seconds = self._charge(physical, physical.name, shots)
-            out.append(
-                ExecutionResult(
-                    counts=counts,
-                    shots=shots,
-                    num_qubits=width,
-                    seconds=seconds,
-                    metadata=self._job_metadata(physical, layout),
-                )
-            )
-        return out
-
     def make_tree_fragment_cache(self, fragment, dtype=np.float64):
         """A :class:`NoisyTreeFragmentSimCache` bound to ``fragment``.
 
@@ -260,8 +193,13 @@ class FakeHardwareBackend(Backend):
         virtual-clock charges mirror circuit-level execution per variant,
         so counts are bit-identical to submitting each
         :func:`~repro.cutting.variants.tree_variant` through :meth:`run`.
-        The device-equivalence contract on a foreign ``cache`` matches
-        :meth:`run_variants`.
+        A ``cache`` of the wrong type or built for a different fragment is
+        replaced by a fresh one; device *equivalence* cannot be checked and
+        is the caller's contract — the ``cache`` must come from this or an
+        identically configured device (as in
+        :func:`~repro.parallel.executor.run_tree_fragments_parallel`, where
+        worker backends share the probe's pool), otherwise the served
+        physics is the cache's device, not this one.
         """
         from repro.cutting.noisy_cache import NoisyTreeFragmentSimCache
 

@@ -170,9 +170,6 @@ class FaultInjectionBackend(Backend):
             raise AttributeError(attr)
         return getattr(self.inner, attr)
 
-    def make_variant_cache(self, pair):
-        return self.inner.make_variant_cache(pair)
-
     def make_tree_cache_pool(self, tree, dtype=np.float64):
         return self.inner.make_tree_cache_pool(tree, dtype=dtype)
 
@@ -258,35 +255,6 @@ class FaultInjectionBackend(Backend):
                     site,
                     lambda qc=qc, stream=stream: self.inner.run(
                         qc, shots=shots, seed=[stream]
-                    )[0],
-                    shots,
-                )
-            )
-        return out
-
-    def run_variants(
-        self,
-        pair,
-        settings,
-        inits,
-        shots: int = 1000,
-        seed=None,
-        cache=None,
-    ) -> list[ExecutionResult]:
-        jobs = [("up", s) for s in settings] + [("down", a) for a in inits]
-        streams = spawn_rngs(seed, len(jobs))
-        if cache is None:
-            cache = self.inner.make_variant_cache(pair)
-        out = []
-        for (kind, label), stream in zip(jobs, streams):
-            site = ("pair", kind, label)
-            ups = [label] if kind == "up" else []
-            downs = [label] if kind == "down" else []
-            out.append(
-                self._faulted(
-                    site,
-                    lambda ups=ups, downs=downs, stream=stream: self.inner.run_variants(
-                        pair, ups, downs, shots=shots, seed=[stream], cache=cache
                     )[0],
                     shots,
                 )

@@ -5,17 +5,15 @@ Simulates the exact statevector, then draws multinomial samples.  An
 shot budget, handy for separating algorithmic error from shot noise in
 tests and ablations.
 
-Fragment variants take a fast path: :meth:`IdealBackend.run_variants` pulls
-every variant's exact distribution from a shared
-:class:`~repro.cutting.cache.FragmentSimCache` (one body simulation plus
-``2^K`` batched basis initialisations instead of ``3^K + 6^K`` full circuit
-runs) and only then samples — the per-variant RNG streams are spawned
+Fragment variants take a fast path: :meth:`IdealBackend.run_tree_variants`
+pulls every variant's exact distribution from the fragment's shared
+:class:`~repro.cutting.cache.TreeFragmentSimCache` (one batched body
+simulation plus cheap axis rotations instead of one full circuit run per
+variant) and only then samples — the per-variant RNG streams are spawned
 exactly as the circuit-level path would, so results stay reproducible.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -66,52 +64,6 @@ class IdealBackend(Backend):
             seconds=0.0,
             metadata={"backend": self.name, "exact": self.exact},
         )
-
-    def make_variant_cache(self, pair):
-        """Fragment variants are served from a :class:`FragmentSimCache`."""
-        from repro.cutting.cache import FragmentSimCache
-
-        return FragmentSimCache(pair)
-
-    def run_variants(
-        self,
-        pair,
-        settings: Sequence[tuple[str, ...]],
-        inits: Sequence[tuple[str, ...]],
-        shots: int = 1000,
-        seed: "int | np.random.Generator | None" = None,
-        cache=None,
-    ) -> list[ExecutionResult]:
-        """Serve all fragment variants from one shared simulation cache."""
-        from repro.cutting.cache import FragmentSimCache
-
-        if shots <= 0:
-            raise BackendError(f"shots must be positive, got {shots}")
-        for width in (pair.n_up if settings else 0, pair.n_down if inits else 0):
-            if self.max_qubits is not None and width > self.max_qubits:
-                raise BackendError(
-                    f"{self.name}: circuit width {width} exceeds "
-                    f"device size {self.max_qubits}"
-                )
-        # None, a foreign cache flavour, or a cache built for another pair
-        if not isinstance(cache, FragmentSimCache) or cache.pair is not pair:
-            cache = FragmentSimCache(pair)
-        rngs = spawn_rngs(seed, len(settings) + len(inits))
-        if inits:
-            cache.downstream_probabilities_batch(inits)  # one GEMM for all
-        out = [
-            self._result_from_probs(
-                cache.upstream_probabilities(s), pair.n_up, shots, rng
-            )
-            for s, rng in zip(settings, rngs)
-        ]
-        out += [
-            self._result_from_probs(
-                cache.downstream_probabilities(i), pair.n_down, shots, rng
-            )
-            for i, rng in zip(inits, rngs[len(settings) :])
-        ]
-        return out
 
     def make_tree_fragment_cache(self, fragment, dtype=np.float64):
         """A :class:`TreeFragmentSimCache` bound to ``fragment``.

@@ -10,7 +10,8 @@ Layered on the :mod:`repro.cutting` baseline:
 * :mod:`repro.core.neglect` — reduced variant/basis sets for golden cuts,
 * :mod:`repro.core.costs` — the O(4^{K_r}3^{K_g}) / O(6^{K_r}4^{K_g}) cost
   model,
-* :mod:`repro.core.pipeline` — the one-call ``cut_and_run`` API.
+* :mod:`repro.core.pipeline` — the one-call ``cut_and_run_tree`` engine
+  and its single-cut ``cut_and_run`` wrapper.
 """
 
 from repro.core.ansatz import (
@@ -20,24 +21,15 @@ from repro.core.ansatz import (
 )
 from repro.core.golden import (
     chain_definition1_deviation,
-    definition1_deviation,
     find_chain_golden_bases_analytic,
-    find_golden_bases_analytic,
     find_tree_golden_bases_analytic,
-    is_golden_analytic,
     select_all_golden,
     tree_definition1_deviation,
 )
 from repro.core.detection import (
     GoldenDetectionResult,
     detect_chain_golden_bases,
-    detect_golden_bases,
     detect_tree_golden_bases,
-)
-from repro.core.adaptive import (
-    AdaptiveDetectionResult,
-    merge_fragment_data,
-    sequential_detect,
 )
 from repro.core.neglect import (
     GoldenMap,
@@ -65,19 +57,12 @@ __all__ = [
     "GoldenAnsatzSpec",
     "chain_definition1_deviation",
     "tree_definition1_deviation",
-    "definition1_deviation",
     "find_chain_golden_bases_analytic",
     "find_tree_golden_bases_analytic",
-    "find_golden_bases_analytic",
-    "is_golden_analytic",
     "select_all_golden",
     "GoldenDetectionResult",
     "detect_chain_golden_bases",
     "detect_tree_golden_bases",
-    "detect_golden_bases",
-    "AdaptiveDetectionResult",
-    "sequential_detect",
-    "merge_fragment_data",
     "GoldenMap",
     "normalize_golden_map",
     "reduced_bases",

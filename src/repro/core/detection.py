@@ -1,9 +1,9 @@
 """Empirical golden-cut detection from finite-shot measurements.
 
 The paper's §IV poses online detection as future work; this module provides
-the statistical machinery: given upstream fragment data with ``N`` shots per
-setting, test H₀ "basis ``M*`` is golden at cut ``k``" (all weighted outcome
-differences are zero) against the observed deviations.
+the statistical machinery: given a cut group's measuring-fragment data with
+``N`` shots per setting, test H₀ "basis ``M*`` is golden at cut ``k``" (all
+weighted outcome differences are zero) against the observed deviations.
 
 Test statistic.  For each context (setting ``S`` with ``S_k = M*``, output
 ``b₁``, other-cut outcomes ``r₋ₖ``) the estimator
@@ -29,13 +29,11 @@ import numpy as np
 from scipy import stats
 
 from repro.config import DEFAULT_ALPHA
-from repro.cutting.execution import FragmentData
 from repro.exceptions import DetectionError
 
 __all__ = [
     "GoldenDetectionResult",
     "detect_chain_golden_bases",
-    "detect_golden_bases",
     "detect_tree_golden_bases",
 ]
 
@@ -59,70 +57,6 @@ class GoldenDetectionResult:
         """Bonferroni-adjusted p-value of the observed maximum |z|."""
         tail = 2.0 * (1.0 - stats.norm.cdf(self.max_z))
         return float(min(1.0, tail * self.num_contexts))
-
-
-def _candidate_z_scores(
-    data: FragmentData, cut: int, basis: str, shots: int
-) -> np.ndarray:
-    """Vector of per-context |z| statistics for one candidate."""
-    K = data.pair.num_cuts
-    relevant = [s for s in data.upstream if s[cut] == basis]
-    if not relevant:
-        raise DetectionError(
-            f"no upstream setting measures cut {cut} in basis {basis}"
-        )
-    r = np.arange(1 << K)
-    lo = np.nonzero(((r >> cut) & 1) == 0)[0]
-    hi = lo | (1 << cut)
-    zs = []
-    for setting in relevant:
-        A = data.upstream[setting]
-        delta = A[:, lo] - A[:, hi]
-        mass = A[:, lo] + A[:, hi]
-        sigma = np.sqrt(np.maximum(mass, 1.0 / shots) / shots)
-        zs.append(np.abs(delta) / sigma)
-    return np.concatenate([z.ravel() for z in zs])
-
-
-def detect_golden_bases(
-    data: FragmentData,
-    alpha: float = DEFAULT_ALPHA,
-    cuts: "list[int] | None" = None,
-    bases: tuple[str, ...] = ("X", "Y", "Z"),
-) -> list[GoldenDetectionResult]:
-    """Test every (cut, basis) candidate on measured fragment data.
-
-    Parameters
-    ----------
-    data:
-        Finite-shot fragment data (``shots_per_variant`` must be > 0).
-    alpha:
-        Family-wise significance level *per candidate*.
-    cuts:
-        Cut indices to test (default: all).
-    bases:
-        Candidate bases (default X, Y, Z; ``I`` can never be golden for
-        positive-mass observables since its weighted sum is the marginal).
-
-    Returns
-    -------
-    list of :class:`GoldenDetectionResult`, one per candidate, in
-    (cut, basis) order.
-    """
-    if data.shots_per_variant <= 0:
-        raise DetectionError(
-            "detection needs finite-shot data; for exact data use "
-            "repro.core.golden.find_golden_bases_analytic"
-        )
-    shots = data.shots_per_variant
-    if cuts is None:
-        cuts = list(range(data.pair.num_cuts))
-    out: list[GoldenDetectionResult] = []
-    for k in cuts:
-        for b in bases:
-            z = _candidate_z_scores(data, k, b, shots)
-            out.append(_verdict(z, k, b, alpha, group=0))
-    return out
 
 
 def _verdict(
@@ -152,10 +86,9 @@ def _tree_candidate_z_scores(
     Contexts run over every ``(prep context, setting)`` variant of the
     group's **source node** whose setting measures the candidate cut (in
     the node's flat layout) in ``basis``, times that variant's
-    ``(b_out, r_{-cut})`` cells — the tree analogue of
-    :func:`_candidate_z_scores` with the parent group's entering
+    ``(b_out, r_{-cut})`` cells — the parent group's entering
     preparations, and at a branching node the sibling groups' settings,
-    counted into the Bonferroni family.
+    count into the Bonferroni family.
     """
     from repro.core.golden import _tree_group_frame, iter_chain_cut_deltas
 
@@ -184,8 +117,8 @@ def detect_tree_golden_bases(
     parent group's verdict — see
     :func:`~repro.core.golden.find_tree_golden_bases_analytic` for why the
     sweep is a sequential root-to-leaves BFS).  The per-candidate
-    hypothesis test is the same Bonferroni-corrected max-|z| machinery as
-    :func:`detect_golden_bases`, with the prep contexts (and sibling
+    hypothesis test is the Bonferroni-corrected max-|z| machinery of the
+    module docstring, with the prep contexts (and sibling
     groups' settings, at a branching node) multiplying the corrected
     family size, so the family-wise false-rejection guarantee (≤ ``alpha``
     per candidate) is preserved group by group.

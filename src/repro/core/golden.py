@@ -7,12 +7,14 @@ A basis ``M*`` is golden at cut ``k*`` when
     \\sum_{r_{c(k^*)}} r_{c(k^*)}\\,\\mathrm{tr}(O_{f1} \\rho_{f1}(M^r)) = 0
 
 for *every* value of the remaining indices (other cuts' bases and outcomes,
-and — for the distribution workload — every upstream output projector).
+and — for the distribution workload — every output projector of the
+measuring fragment).
 
-The exact finder evaluates the upstream fragment's statevector for every
-measurement setting and checks the weighted outcome differences pointwise.
-This is the "golden cutting point known a priori" mode of the paper's
-experiments; the finite-shot detector lives in
+The exact finder evaluates each measuring fragment's cached statevector for
+every measurement setting and checks the weighted outcome differences
+pointwise, cut group by cut group on a fragment tree (the paper's single
+cut is the 2-node tree).  This is the "golden cutting point known a
+priori" mode of the paper's experiments; the finite-shot detector lives in
 :mod:`repro.core.detection`.
 """
 
@@ -22,112 +24,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import ATOL
-from repro.cutting.execution import FragmentData, exact_fragment_data
-from repro.cutting.fragments import FragmentPair
 from repro.exceptions import DetectionError
 
 __all__ = [
     "chain_definition1_deviation",
-    "definition1_deviation",
     "find_chain_golden_bases_analytic",
-    "find_golden_bases_analytic",
     "find_tree_golden_bases_analytic",
-    "is_golden_analytic",
     "iter_chain_cut_deltas",
     "select_all_golden",
     "tree_definition1_deviation",
 ]
-
-
-def definition1_deviation(
-    data: FragmentData, cut: int, basis: str
-) -> float:
-    """Max |Σ_r r · p(b₁, r)| over all contexts — 0 iff Definition 1 holds.
-
-    ``data`` may be exact or finite-shot; the returned deviation is the
-    worst-case absolute value of the eigenvalue-weighted outcome difference
-    on cut ``cut`` in basis ``basis``, maximised over upstream outputs
-    ``b₁``, the other cuts' measurement settings, and the other cuts' raw
-    outcomes (the strongest, pointwise form of the definition).
-    """
-    if basis not in ("X", "Y", "Z"):
-        raise DetectionError(f"golden candidates are X/Y/Z, got {basis!r}")
-    K = data.pair.num_cuts
-    if not 0 <= cut < K:
-        raise DetectionError(f"cut index {cut} out of range (K={K})")
-    worst = 0.0
-    relevant = [s for s in data.upstream if s[cut] == basis]
-    if not relevant:
-        raise DetectionError(
-            f"no upstream setting measures cut {cut} in basis {basis}"
-        )
-    r = np.arange(1 << K)
-    lo = np.nonzero(((r >> cut) & 1) == 0)[0]
-    hi = lo | (1 << cut)
-    for setting in relevant:
-        A = data.upstream[setting]  # (2^{n_out}, 2^K)
-        delta = A[:, lo] - A[:, hi]
-        worst = max(worst, float(np.max(np.abs(delta))))
-    return worst
-
-
-def is_golden_analytic(
-    pair: FragmentPair,
-    cut: int,
-    basis: str,
-    atol: float = ATOL,
-    data: FragmentData | None = None,
-    cache=None,
-) -> bool:
-    """Exact Definition-1 check for one (cut, basis) pair.
-
-    ``data`` may be supplied to reuse a precomputed
-    :func:`~repro.cutting.execution.exact_fragment_data`; otherwise the
-    upstream fragment is simulated here (downstream runs are skipped — the
-    definition only involves the upstream fragment).  ``cache`` optionally
-    shares a :class:`~repro.cutting.cache.FragmentSimCache` with the
-    execution stage, so finding golden bases costs no extra simulation.
-    """
-    if data is None:
-        data = exact_fragment_data(pair, inits=_NO_INITS, cache=cache)
-    return definition1_deviation(data, cut, basis) <= atol
-
-
-#: sentinel: skip downstream executions entirely (the analytic finder only
-#: needs upstream data).  A single trivial init keeps FragmentData valid.
-_NO_INITS: tuple[tuple[str, ...], ...] = ()
-
-
-def find_golden_bases_analytic(
-    pair: FragmentPair, atol: float = ATOL, cache=None
-) -> dict[int, list[str]]:
-    """Exact golden bases per cut: ``{cut index: [bases...]}``.
-
-    Evaluates every (cut, basis) candidate from one shared upstream body
-    simulation (the ``3^K`` settings are cheap axis rotations of the cached
-    state — see :mod:`repro.cutting.cache`).  Empty lists mean the cut
-    is regular.  Deviations below ``atol`` count as exact zeros — the
-    default is the package's analytic tolerance, far below any physical
-    amplitude of the circuit families used here.  Pass the pipeline's
-    ``cache`` to share the body simulation with fragment execution.
-    """
-    data = exact_fragment_data(
-        pair, inits=_single_trivial_init(pair), cache=cache
-    )
-    out: dict[int, list[str]] = {}
-    for k in range(pair.num_cuts):
-        golden = [
-            b
-            for b in ("X", "Y", "Z")
-            if definition1_deviation(data, k, b) <= atol
-        ]
-        out[k] = golden
-    return out
-
-
-def _single_trivial_init(pair: FragmentPair) -> list[tuple[str, ...]]:
-    """Cheapest valid init set (the finder never reads downstream data)."""
-    return [("Z+",) * pair.num_cuts]
 
 
 # --------------------------------------------------------------------------
@@ -189,8 +95,8 @@ def _tree_group_frame(data, group: int, cut: int):
 def tree_definition1_deviation(
     data, group: int, cut: int, basis: str
 ) -> float:
-    """Max |Σ_r r · p| over all contexts of one tree cut group — the
-    per-group generalisation of :func:`definition1_deviation`.
+    """Max |Σ_r r · p| over all contexts of one tree cut group — 0 iff
+    Definition 1 holds for the group's candidate.
 
     ``data`` is a :class:`~repro.cutting.execution.TreeFragmentData` (exact
     or finite-shot); the tested fragment is the group's **source node**
@@ -199,7 +105,7 @@ def tree_definition1_deviation(
     the contexts therefore also include the sibling groups' settings and
     raw outcomes.  Interior fragments are additionally downstream of their
     entering group, so the deviation is maximised over the **preparation
-    contexts** entering from the parent in addition to the pair notion's
+    contexts** entering from the parent in addition to the root's
     contexts (outputs ``b_out``, the node's other measurement settings, and
     their raw outcomes).  Fragment response is linear in the entering
     state, so a deviation of zero on a context pool spanning the parent

@@ -95,7 +95,7 @@ def reduced_setting_tuples(
     Every golden basis removes its setting (3 → 2 per single-basis golden
     cut): for X/Y-golden the basis is simply not measured; for Z-golden the
     ``I`` row falls back to another setting's outcome marginal (handled by
-    :func:`repro.cutting.reconstruction.build_upstream_tensor`).  If all
+    :func:`repro.cutting.reconstruction.build_chain_fragment_tensor`).  If all
     three bases are golden, one setting (Z) is retained purely for the
     ``I``-row marginal.
     """

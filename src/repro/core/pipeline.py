@@ -1,16 +1,21 @@
 """One-call golden-cutting pipeline: cut, execute, (detect,) reconstruct.
 
-:func:`cut_and_run` is the library's main entry point, covering the four
-operating modes of the reproduction:
+There is one cutting engine, :func:`cut_and_run_tree`: the circuit is
+partitioned into a fragment tree (or DAG), every fragment's variants run
+from one shared cache pool, and the reconstruction contracts the fragment
+network.  The paper's single wire cut is the 2-node tree;
+:func:`cut_and_run` is a thin wrapper that runs it there and reports the
+result in the pair vocabulary (:class:`CutRunResult`).  Both cover the
+four operating modes of the reproduction:
 
 * ``golden="off"`` — the standard CutQC-style baseline (paper ref [18]);
 * ``golden="known"`` — the paper's experimental mode ("we assumed the golden
-  cutting point was known a priori", §III-B) with ``golden_map`` supplied;
-* ``golden="analytic"`` — find golden bases exactly by simulating the
-  upstream fragment (cheap: 3^K small statevector runs);
+  cutting point was known a priori", §III-B) with the golden map supplied;
+* ``golden="analytic"`` — find golden bases exactly from the measuring
+  fragments' cached statevectors (cheap: 3^K axis rotations of one body);
 * ``golden="detect"`` — the paper's §IV future-work mode: spend a pilot
-  budget on upstream measurements, run the hypothesis-test detector, then
-  execute the reduced variant set.
+  budget on the measuring fragments, run the hypothesis-test detector,
+  then execute the reduced variant set.
 """
 
 from __future__ import annotations
@@ -22,24 +27,11 @@ import numpy as np
 from repro.backends.base import Backend
 from repro.config import DEFAULT_ALPHA
 from repro.core.costs import CostReport, cost_report
-from repro.core.detection import (
-    detect_golden_bases,
-    detect_tree_golden_bases,
-)
-from repro.core.golden import find_golden_bases_analytic
-from repro.core.neglect import (
-    normalize_golden_map,
-    reduced_bases,
-    reduced_init_tuples,
-    reduced_setting_tuples,
-    tree_reduced_variants,
-)
+from repro.core.detection import detect_tree_golden_bases
+from repro.core.neglect import normalize_golden_map, tree_reduced_variants
 from repro.circuits.circuit import Circuit
-from repro.cutting.cache import FragmentSimCache
 from repro.cutting.cut import CutSpec, find_cuts
-from repro.cutting.execution import FragmentData, run_fragments
 from repro.cutting.fragments import FragmentPair, bipartition
-from repro.cutting.reconstruction import reconstruct_distribution
 from repro.exceptions import CutError
 from repro.utils.rng import as_generator, derive_rng
 from repro.utils.timing import Stopwatch
@@ -56,50 +48,6 @@ __all__ = [
 #: preference order when several bases are golden at one cut — X/Y save
 #: downstream circuit executions, Z only saves upstream settings and terms.
 _BASIS_PRIORITY = ("Y", "X", "Z")
-
-
-@dataclass
-class CutRunResult:
-    """Everything produced by one :func:`cut_and_run` invocation."""
-
-    #: reconstructed output distribution (little-endian over the full register)
-    probabilities: np.ndarray
-    #: the bipartition used
-    pair: FragmentPair
-    #: golden bases actually exploited, cut index → basis
-    golden_used: dict[int, str]
-    #: raw fragment measurement data
-    data: FragmentData
-    #: variant/term/shot accounting
-    costs: CostReport
-    #: modelled device seconds (fragment jobs + pilot, if any)
-    device_seconds: float
-    #: real seconds spent in classical reconstruction
-    reconstruction_seconds: float
-    #: pilot-detection metadata (empty unless golden="detect")
-    detection: list = field(default_factory=list)
-    #: reconstruction basis pools actually used (None = full {I,X,Y,Z}^K)
-    bases: "list[tuple[str, ...]] | None" = None
-
-    @property
-    def total_executions(self) -> int:
-        return self.costs.total_executions
-
-    def expectation(self, diagonal: np.ndarray) -> float:
-        """Expectation of a diagonal observable under the reconstruction."""
-        return float(np.dot(self.probabilities, np.asarray(diagonal)))
-
-    def variance(self) -> np.ndarray:
-        """Delta-method shot-noise variance of each reconstructed entry."""
-        from repro.cutting.variance import reconstruction_variance
-
-        return reconstruction_variance(self.data, bases=self.bases)
-
-    def predicted_stddev_tv(self) -> float:
-        """Scalar shot-noise summary (see :mod:`repro.cutting.variance`)."""
-        from repro.cutting.variance import predicted_stddev_tv
-
-        return predicted_stddev_tv(self.data, bases=self.bases)
 
 
 @dataclass
@@ -206,6 +154,52 @@ class TreeRunResult:
         )
 
 
+@dataclass
+class CutRunResult:
+    """Everything produced by one :func:`cut_and_run` invocation.
+
+    A view of the 2-node :class:`TreeRunResult` the single cut runs as,
+    in the pair vocabulary: one golden map, one list of detection
+    verdicts, one list of per-cut basis pools and the closed-form
+    :class:`~repro.core.costs.CostReport`.
+    """
+
+    #: reconstructed output distribution (little-endian over the full register)
+    probabilities: np.ndarray
+    #: the bipartition used
+    pair: FragmentPair
+    #: golden bases actually exploited, cut index → basis
+    golden_used: dict[int, str]
+    #: variant/term/shot accounting
+    costs: CostReport
+    #: modelled device seconds (fragment jobs + pilot, if any)
+    device_seconds: float
+    #: real seconds spent in classical reconstruction
+    reconstruction_seconds: float
+    #: pilot-detection metadata (empty unless golden="detect")
+    detection: list = field(default_factory=list)
+    #: reconstruction basis pools actually used (None = full {I,X,Y,Z}^K)
+    bases: "list[tuple[str, ...]] | None" = None
+    #: the underlying 2-node tree run (fragment records, tree, bounds)
+    tree_run: "TreeRunResult | None" = field(default=None, repr=False)
+
+    @property
+    def total_executions(self) -> int:
+        return self.costs.total_executions
+
+    def expectation(self, diagonal: np.ndarray) -> float:
+        """Expectation of a diagonal observable under the reconstruction."""
+        return float(np.dot(self.probabilities, np.asarray(diagonal)))
+
+    def variance(self) -> np.ndarray:
+        """Delta-method shot-noise variance of each reconstructed entry."""
+        return self.tree_run.variance()
+
+    def predicted_stddev_tv(self) -> float:
+        """Scalar shot-noise summary (see :mod:`repro.cutting.variance`)."""
+        return self.tree_run.predicted_stddev_tv()
+
+
 #: chains are linear trees; the chain result type is the tree result type
 ChainRunResult = TreeRunResult
 
@@ -279,8 +273,9 @@ def cut_and_run_tree(
 ) -> TreeRunResult:
     """Cut ``circuit`` into a fragment tree, run it, reconstruct.
 
-    The topology-general analogue of :func:`cut_and_run`: ``specs`` lists
-    one :class:`~repro.cutting.cut.CutSpec` per cut group (original-circuit
+    The one cutting engine (:func:`cut_and_run` runs the paper's single
+    cut through it as the 2-node tree): ``specs`` lists one
+    :class:`~repro.cutting.cut.CutSpec` per cut group (original-circuit
     coordinates, see :func:`repro.cutting.tree.partition_tree`; branched
     topologies welcome).  ``cuts`` is an alias for ``specs`` (matching
     :func:`cut_and_run`); leaving both ``None`` triggers automatic cut
@@ -332,10 +327,10 @@ def cut_and_run_tree(
     fragment (joint preparations) are legal and route through the same
     pipeline.  ``plan`` controls the reconstruction's contraction order
     (see :func:`~repro.cutting.reconstruction.reconstruct_tree_distribution`):
-    ``None`` keeps the bit-identical tree kernels on trees and searches a
+    ``None`` runs the fixed leaves-to-root plan on trees and searches a
     pairwise :class:`~repro.cutting.contraction.ContractionPlan`
     automatically on DAGs; a method string (``"auto"``/``"fixed"``/
-    ``"greedy"``/``"dp"``) or an explicit plan forces the network path.
+    ``"greedy"``/``"dp"``) or an explicit plan overrides that choice.
 
     Resilience knobs (see :mod:`repro.cutting.resilience`):
 
@@ -747,110 +742,49 @@ def cut_and_run(
     retry=None,
     ledger=None,
 ) -> CutRunResult:
-    """Cut ``circuit``, run the fragments on ``backend``, reconstruct.
+    """Cut ``circuit`` once, run both fragments on ``backend``, reconstruct.
 
     Parameters mirror the paper's experimental knobs; see the module
     docstring for the ``golden`` modes.  ``cuts=None`` triggers automatic
     cut search constrained by ``max_fragment_qubits`` (default:
-    ``ceil(n/2) + 1``, the paper's balanced-bipartition shape).
+    ``ceil(n/2) + 1``, the paper's balanced-bipartition shape).  The cut
+    runs as the 2-node tree through :func:`cut_and_run_tree` — one cache
+    pool for pilot and production, the tree detector, the network
+    contraction — with ``golden_map`` as the single cut group's map.
     ``retry`` / ``ledger`` enable the resilient execution path for both
-    the pilot and production runs (see
-    :mod:`repro.cutting.resilience`); exhaustion raises — graceful
-    degradation is a tree-pipeline notion.
+    the pilot and production runs (see :mod:`repro.cutting.resilience`).
     """
-    if retry is not None and ledger is None:
-        from repro.cutting.resilience import AttemptLedger
-
-        ledger = AttemptLedger()
-    rng = as_generator(seed)
     if cuts is None:
         budget = max_fragment_qubits or (circuit.num_qubits + 1) // 2 + 1
         cuts = find_cuts(circuit, budget)
-    pair = bipartition(circuit, cuts)
-    K = pair.num_cuts
-
-    # One simulation cache shared by pilot detection and the production
-    # run: each fragment body is transpiled/simulated exactly once per
-    # cut_and_run invocation when the backend consumes a cache (ideal →
-    # FragmentSimCache, fake hardware → NoisyFragmentSimCache).  The
-    # analytic golden finder always works on *ideal* states, so it keeps
-    # its own FragmentSimCache unless the backend's cache already is one.
-    cache = backend.make_variant_cache(pair)
-    if golden == "analytic":
-        finder_cache = cache if isinstance(cache, FragmentSimCache) else FragmentSimCache(pair)
-
-    detection: list = []
-    device_seconds = 0.0
-
-    if golden == "off":
-        golden_used: dict = {}
-    elif golden == "known":
-        if not golden_map:
-            raise CutError('golden="known" requires golden_map')
-        normalize_golden_map(K, golden_map)  # validate eagerly
-        golden_used = dict(golden_map)
-    elif golden == "analytic":
-        golden_used = _select_golden(
-            find_golden_bases_analytic(pair, cache=finder_cache), exploit_all
-        )
-    elif golden == "detect":
-        pilot = pilot_shots if pilot_shots is not None else max(100, shots // 4)
-        pilot_data = run_fragments(
-            pair,
-            backend,
-            shots=pilot,
-            inits=[("Z+",) * K],  # pilot only needs upstream statistics
-            seed=derive_rng(rng, 0x51),
-            cache=cache,
-            retry=retry,
-            ledger=ledger,
-        )
-        device_seconds += pilot_data.modeled_seconds
-        detection = detect_golden_bases(pilot_data, alpha=alpha)
-        found: dict[int, list[str]] = {k: [] for k in range(K)}
-        for res in detection:
-            if res.is_golden:
-                found[res.cut].append(res.basis)
-        golden_used = _select_golden(found, exploit_all)
-    else:
-        raise CutError(
-            f'golden must be "off"/"known"/"analytic"/"detect", got {golden!r}'
-        )
-
-    if golden_used:
-        settings = reduced_setting_tuples(K, golden_used)
-        inits = reduced_init_tuples(K, golden_used)
-        bases = reduced_bases(K, golden_used)
-    else:
-        settings = None
-        inits = None
-        bases = None
-
-    data = run_fragments(
-        pair,
+    if golden == "known" and not golden_map:
+        raise CutError('golden="known" requires golden_map')
+    run = cut_and_run_tree(
+        circuit,
         backend,
+        [cuts],
         shots=shots,
-        settings=settings,
-        inits=inits,
-        seed=derive_rng(rng, 0x52),
-        cache=cache,
+        golden=golden,
+        golden_maps=[golden_map] if golden == "known" else None,
+        postprocess=postprocess,
+        seed=seed,
+        alpha=alpha,
+        pilot_shots=pilot_shots,
+        exploit_all=exploit_all,
         retry=retry,
         ledger=ledger,
     )
-    device_seconds += data.modeled_seconds
-
-    with Stopwatch() as sw:
-        probs = reconstruct_distribution(data, bases=bases, postprocess=postprocess)
-
-    costs = cost_report(K, golden_used or None, shots_per_variant=shots)
+    golden_used = (
+        dict(golden_map) if golden == "known" else dict(run.golden_used[0] or {})
+    )
     return CutRunResult(
-        probabilities=probs,
-        pair=pair,
+        probabilities=run.probabilities,
+        pair=bipartition(circuit, cuts),
         golden_used=golden_used,
-        data=data,
-        costs=costs,
-        device_seconds=device_seconds,
-        reconstruction_seconds=sw.elapsed,
-        detection=detection,
-        bases=bases,
+        costs=cost_report(cuts.num_cuts, golden_used, shots_per_variant=shots),
+        device_seconds=run.device_seconds,
+        reconstruction_seconds=run.reconstruction_seconds,
+        detection=run.detection[0] if run.detection else [],
+        bases=run.bases[0] if run.bases is not None else None,
+        tree_run=run,
     )

@@ -29,50 +29,34 @@ from repro.cutting.variants import (
     chain_variant,
     chain_variant_tuples,
     downstream_init_tuples,
-    downstream_variant,
     tree_variant,
     tree_variant_tuples,
     upstream_setting_tuples,
-    upstream_variant,
 )
 from repro.cutting.cache import (
     ChainCachePool,
     ChainFragmentSimCache,
-    FragmentSimCache,
     TreeCachePool,
     TreeFragmentSimCache,
 )
 from repro.cutting.execution import (
     ChainFragmentData,
-    FragmentData,
     TreeFragmentData,
     exact_chain_data,
     exact_tree_data,
     run_chain_fragments,
-    run_fragments,
     run_tree_fragments,
 )
 from repro.cutting.noisy_cache import (
     NoisyChainFragmentSimCache,
-    NoisyFragmentSimCache,
     NoisyTreeFragmentSimCache,
 )
 from repro.cutting.reconstruction import (
     build_chain_fragment_tensor,
-    build_chain_fragment_tensor_reference,
     build_tree_fragment_tensor,
-    build_tree_fragment_tensor_reference,
-    build_downstream_tensor,
-    build_downstream_tensor_reference,
-    build_upstream_tensor,
-    build_upstream_tensor_reference,
     reconstruct_chain_distribution,
-    reconstruct_chain_distribution_reference,
     reconstruct_counts,
-    reconstruct_distribution,
-    reconstruct_expectation,
     reconstruct_tree_distribution,
-    reconstruct_tree_distribution_reference,
 )
 from repro.cutting.sparse import (
     PrunePolicy,
@@ -81,12 +65,7 @@ from repro.cutting.sparse import (
     threshold,
     top_k,
 )
-from repro.cutting.io import (
-    TreeCheckpoint,
-    load_fragment_data,
-    save_fragment_data,
-    tree_run_signature,
-)
+from repro.cutting.io import TreeCheckpoint, tree_run_signature
 from repro.cutting.resilience import (
     AttemptLedger,
     AttemptRecord,
@@ -101,7 +80,8 @@ from repro.cutting.resilience import (
 from repro.cutting.pauli_cut import (
     cut_pauli_expectation,
     cut_pauli_sum_expectation,
-    rotated_fragment_pair,
+    observable_diagonal,
+    rotated_circuit,
 )
 from repro.cutting.shots import (
     allocate_chain_shots,
@@ -112,13 +92,10 @@ from repro.cutting.shots import (
 from repro.cutting.variance import (
     chain_predicted_stddev_tv,
     chain_reconstruction_variance,
-    predicted_stddev_tv,
-    reconstruction_variance,
     tree_predicted_stddev_tv,
     tree_reconstruction_variance,
     tree_tv_bound,
 )
-from repro.cutting.allocation import AllocationPlan, suggest_allocation
 from repro.cutting.fingerprint import (
     FragmentStore,
     backend_fingerprint,
@@ -153,50 +130,32 @@ __all__ = [
     "PREPARATION_STATES",
     "upstream_setting_tuples",
     "downstream_init_tuples",
-    "upstream_variant",
-    "downstream_variant",
     "chain_variant",
     "chain_variant_tuples",
     "tree_variant",
     "tree_variant_tuples",
-    "FragmentData",
     "ChainFragmentData",
     "TreeFragmentData",
-    "FragmentSimCache",
     "ChainFragmentSimCache",
     "TreeFragmentSimCache",
     "ChainCachePool",
     "TreeCachePool",
-    "NoisyFragmentSimCache",
     "NoisyChainFragmentSimCache",
     "NoisyTreeFragmentSimCache",
-    "run_fragments",
     "run_chain_fragments",
     "run_tree_fragments",
     "exact_chain_data",
     "exact_tree_data",
-    "build_upstream_tensor",
-    "build_downstream_tensor",
-    "build_upstream_tensor_reference",
-    "build_downstream_tensor_reference",
     "build_chain_fragment_tensor",
-    "build_chain_fragment_tensor_reference",
     "build_tree_fragment_tensor",
-    "build_tree_fragment_tensor_reference",
-    "reconstruct_distribution",
     "reconstruct_chain_distribution",
-    "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution",
-    "reconstruct_tree_distribution_reference",
     "reconstruct_counts",
-    "reconstruct_expectation",
     "PrunePolicy",
     "SparseDistribution",
     "postprocess_sparse",
     "threshold",
     "top_k",
-    "save_fragment_data",
-    "load_fragment_data",
     "TreeCheckpoint",
     "tree_run_signature",
     "AttemptLedger",
@@ -210,18 +169,15 @@ __all__ = [
     "site_key",
     "cut_pauli_expectation",
     "cut_pauli_sum_expectation",
-    "rotated_fragment_pair",
+    "rotated_circuit",
+    "observable_diagonal",
     "allocate_shots",
     "allocate_chain_shots",
     "allocate_tree_shots",
     "reallocate_shots",
-    "reconstruction_variance",
     "chain_reconstruction_variance",
     "tree_reconstruction_variance",
-    "predicted_stddev_tv",
     "chain_predicted_stddev_tv",
     "tree_predicted_stddev_tv",
     "tree_tv_bound",
-    "AllocationPlan",
-    "suggest_allocation",
 ]

@@ -1,30 +1,30 @@
 """Shared-prefix fragment simulation cache.
 
-Every upstream measurement variant of a fragment pair is the *same* circuit
-followed by terminal single-qubit basis rotations, and every downstream
+Every measurement variant of a fragment is the *same* circuit followed by
+terminal single-qubit basis rotations on its exiting cut wires, and every
 preparation variant is the same circuit preceded by single-qubit state
-preparations on the cut wires.  Simulating each of the ``3^K`` settings and
-``6^K`` preparations from scratch therefore repeats the expensive body
-simulation exponentially many times.  :class:`FragmentSimCache` removes that
-redundancy:
+preparations on its entering cut wires.  Simulating each of the
+``6^{K_in} · 3^{K_out}`` variants from scratch therefore repeats the
+expensive body simulation exponentially many times.
+:class:`TreeFragmentSimCache` removes that redundancy:
 
-* **upstream** — the fragment body is simulated **once**; each setting's
-  pre-measurement state is the cached tensor with per-cut ``H`` / ``H·S†``
-  rotations applied to the cut axes (``3^K`` full simulations → ``1``
-  simulation plus cheap axis rotations);
-* **downstream** — preparation states live in the cut wires'
-  ``2^K``-dimensional computational subspace, so the body is pushed over the
-  ``2^K`` basis initialisations **once** (a single batched simulation, see
-  :func:`repro.sim.statevector.apply_circuit_to_tensor`); every preparation
-  tuple — the standard ``6^K`` pool or any future basis pool — is then a
-  linear combination of the cached response columns, one GEMV (or one GEMM
-  for a whole batch) away.
+* the body is simulated **once**, batched over the ``2^{K_in}``
+  computational initialisations of the entering cut wires (one batched
+  simulation, see :func:`repro.sim.statevector.apply_circuit_to_tensor`);
+* each measurement setting is the cached column bank with per-cut ``H`` /
+  ``H·S†`` rotations applied to the exiting cut axes — cheap axis
+  rotations, memoised per setting or stacked for a whole setting pool;
+* every preparation tuple is a linear combination of the cached response
+  columns, one GEMV (or one GEMM for a batch) away.
 
-The cache is consumed by :func:`repro.cutting.execution.exact_fragment_data`,
-the ideal backend's :meth:`~repro.backends.ideal.IdealBackend.run_variants`
-fast path, :func:`repro.parallel.executor.run_fragments_parallel`, and the
-analytic golden-cut finder.  After :meth:`warm` (or eager use) the cache is
-read-only and therefore safe to share across worker threads.
+:class:`TreeCachePool` holds one cache per fragment of a tree or DAG (the
+paper's single cut is the 2-node tree).  The pool is consumed by
+:func:`repro.cutting.execution.exact_tree_data`, the ideal backend's
+:meth:`~repro.backends.ideal.IdealBackend.run_tree_variants` fast path,
+:func:`repro.parallel.executor.run_tree_fragments_parallel`, and the
+analytic golden-cut finder.  After :meth:`TreeCachePool.warm` (or eager
+use) the caches are read-only and therefore safe to share across worker
+threads.
 """
 
 from __future__ import annotations
@@ -35,16 +35,14 @@ import numpy as np
 
 from repro.circuits.gates import gate_matrix
 from repro.config import COMPLEX_DTYPE
-from repro.cutting.fragments import FragmentPair
 from repro.cutting.variants import PREPARATION_STATES
 from repro.exceptions import CutError
-from repro.sim.statevector import apply_circuit_to_tensor, simulate_statevector
+from repro.sim.statevector import apply_circuit_to_tensor
 from repro.linalg.tensor import apply_matrix_to_axes, flat_from_tensor
 
 __all__ = [
     "ChainCachePool",
     "ChainFragmentSimCache",
-    "FragmentSimCache",
     "PREPARATION_AMPLITUDES",
     "TreeCachePool",
     "TreeFragmentSimCache",
@@ -73,7 +71,7 @@ def _prep_amplitudes() -> dict[str, np.ndarray]:
 PREPARATION_AMPLITUDES: dict[str, np.ndarray] = _prep_amplitudes()
 
 #: Measurement basis -> terminal rotation matrix (None = computational),
-#: matching the gate sequences appended by ``upstream_variant`` (S† then H
+#: matching the gate sequences appended by ``tree_variant`` (S† then H
 #: for Y), built from the gate registry rather than re-stated literals.
 MEASUREMENT_ROTATIONS: dict[str, "np.ndarray | None"] = {
     "X": gate_matrix("h"),
@@ -85,202 +83,22 @@ for _m in MEASUREMENT_ROTATIONS.values():
         _m.setflags(write=False)
 
 
-class FragmentSimCache:
-    """Lazy per-pair cache of fragment-body simulations.
-
-    All derived quantities (per-setting joint tensors, per-preparation
-    output distributions) are memoised, so repeated queries — e.g. a pilot
-    detection pass followed by the production run, or the analytic golden
-    finder followed by execution — cost one body simulation total.
-    """
-
-    __slots__ = (
-        "pair",
-        "_up_tensor",
-        "_up_axes",
-        "_down_columns",
-        "_up_ptensor",
-        "_up_joint",
-        "_up_probs",
-        "_down_probs",
-    )
-
-    def __init__(self, pair: FragmentPair) -> None:
-        self.pair = pair
-        self._up_tensor: "np.ndarray | None" = None
-        #: transpose order mapping the upstream probability tensor onto
-        #: ``(b_out, b_cut)`` little-endian axes (qubit 0 of each group
-        #: fastest ⇒ groups listed most-significant-axis first).
-        self._up_axes = tuple(reversed(pair.up_out_local)) + tuple(
-            reversed(pair.up_cut_local)
-        )
-        self._down_columns: "np.ndarray | None" = None
-        self._up_ptensor: dict[tuple[str, ...], np.ndarray] = {}
-        self._up_joint: dict[tuple[str, ...], np.ndarray] = {}
-        self._up_probs: dict[tuple[str, ...], np.ndarray] = {}
-        self._down_probs: dict[tuple[str, ...], np.ndarray] = {}
-
-    # ------------------------------------------------------------- upstream
-    def _upstream_body(self) -> np.ndarray:
-        """Pre-measurement upstream state tensor (simulated once)."""
-        if self._up_tensor is None:
-            self._up_tensor = simulate_statevector(self.pair.upstream).tensor
-        return self._up_tensor
-
-    def _rotated_probs_tensor(self, setting: tuple[str, ...]) -> np.ndarray:
-        out = self._up_ptensor.get(setting)
-        if out is not None:
-            return out
-        if len(setting) != self.pair.num_cuts:
-            raise CutError("setting tuple length != number of cuts")
-        t = self._upstream_body()
-        for k, basis in enumerate(setting):
-            try:
-                rot = MEASUREMENT_ROTATIONS[basis]
-            except KeyError:
-                raise CutError(f"invalid measurement basis {basis!r}") from None
-            if rot is not None:
-                t = apply_matrix_to_axes(t, rot, (self.pair.up_cut_local[k],))
-        out = np.square(t.real) + np.square(t.imag)
-        out.setflags(write=False)
-        self._up_ptensor[setting] = out
-        return out
-
-    def upstream_probabilities(self, setting: Sequence[str]) -> np.ndarray:
-        """Full little-endian distribution over the upstream register."""
-        key = tuple(setting)
-        out = self._up_probs.get(key)
-        if out is None:
-            out = flat_from_tensor(self._rotated_probs_tensor(key))
-            out.setflags(write=False)
-            self._up_probs[key] = out
-        return out
-
-    def upstream_joint(self, setting: Sequence[str]) -> np.ndarray:
-        """Joint ``A[b_out, b_cut]`` tensor for one measurement setting."""
-        key = tuple(setting)
-        out = self._up_joint.get(key)
-        if out is None:
-            p = self._rotated_probs_tensor(key)
-            out = np.ascontiguousarray(
-                p.transpose(self._up_axes).reshape(
-                    1 << self.pair.n_up_out, 1 << self.pair.num_cuts
-                )
-            )
-            out.setflags(write=False)
-            self._up_joint[key] = out
-        return out
-
-    # ----------------------------------------------------------- downstream
-    def _response_columns(self) -> np.ndarray:
-        """Downstream output amplitudes per cut-basis initialisation.
-
-        Shape ``(2^{n_down}, 2^K)``: column ``j`` is the little-endian final
-        state when the cut wires start in the computational state with cut
-        ``k`` carrying bit ``k`` of ``j`` (one batched body simulation).
-        """
-        if self._down_columns is None:
-            pair = self.pair
-            n, K = pair.n_down, pair.num_cuts
-            B = 1 << K
-            js = np.arange(B)
-            init = np.zeros((2,) * n + (B,), dtype=COMPLEX_DTYPE)
-            cut_pos = {q: k for k, q in enumerate(pair.down_cut_local)}
-            coords = tuple(
-                ((js >> cut_pos[q]) & 1) if q in cut_pos else np.zeros(B, dtype=np.int64)
-                for q in range(n)
-            )
-            init[coords + (js,)] = 1.0
-            t = apply_circuit_to_tensor(init, pair.downstream)
-            cols = t.transpose(tuple(range(n - 1, -1, -1)) + (n,)).reshape(1 << n, B)
-            cols = np.ascontiguousarray(cols)
-            cols.setflags(write=False)
-            self._down_columns = cols
-        return self._down_columns
-
-    def _prep_coefficients(self, inits: tuple[str, ...]) -> np.ndarray:
-        """Expansion of a preparation product state over the basis columns."""
-        if len(inits) != self.pair.num_cuts:
-            raise CutError("init tuple length != number of cuts")
-        B = 1 << self.pair.num_cuts
-        js = np.arange(B)
-        c = np.ones(B, dtype=COMPLEX_DTYPE)
-        for k, code in enumerate(inits):
-            try:
-                amp = PREPARATION_AMPLITUDES[code]
-            except KeyError:
-                raise CutError(f"invalid preparation code {code!r}") from None
-            c *= amp[(js >> k) & 1]
-        return c
-
-    def downstream_probabilities(self, inits: Sequence[str]) -> np.ndarray:
-        """Little-endian output distribution for one preparation tuple."""
-        key = tuple(inits)
-        out = self._down_probs.get(key)
-        if out is None:
-            psi = self._response_columns() @ self._prep_coefficients(key)
-            out = np.square(psi.real) + np.square(psi.imag)
-            out.setflags(write=False)
-            self._down_probs[key] = out
-        return out
-
-    def downstream_probabilities_batch(
-        self, inits: Sequence[Sequence[str]]
-    ) -> np.ndarray:
-        """All preparation tuples at once: one GEMM, shape ``(len, 2^n)``.
-
-        Results are memoised per tuple, so later single-tuple queries are
-        free.
-        """
-        keys = [tuple(i) for i in inits]
-        missing = [k for k in keys if k not in self._down_probs]
-        if missing:
-            C = np.stack([self._prep_coefficients(k) for k in missing], axis=1)
-            psi = self._response_columns() @ C  # (2^n, len(missing))
-            probs = np.square(psi.real) + np.square(psi.imag)
-            for j, k in enumerate(missing):
-                p = np.ascontiguousarray(probs[:, j])
-                p.setflags(write=False)
-                self._down_probs[k] = p
-        return np.stack([self._down_probs[k] for k in keys])
-
-    # ---------------------------------------------------------------- misc
-    def warm(
-        self,
-        settings: Iterable[Sequence[str]] = (),
-        inits: Iterable[Sequence[str]] = (),
-    ) -> "FragmentSimCache":
-        """Precompute entries so later reads are lock-free and thread-safe.
-
-        Warms the full per-setting/per-init *distributions* — what sampling
-        workers read.  Joint ``A[b_out, b_cut]`` tensors stay lazy (they are
-        cheap transposes of the memoised probability tensors and the
-        parallel sampling path never consumes them).
-        """
-        inits = list(inits)
-        if inits:
-            self.downstream_probabilities_batch(inits)
-        for s in settings:
-            self.upstream_probabilities(s)
-        return self
-
-
 class TreeFragmentSimCache:
     """Lazy per-tree-fragment cache of ideal body simulations.
 
-    The topology-general version of :class:`FragmentSimCache`: one fragment
-    may have *both* a preparation side (the entering cut group) and a
-    measurement side (the union of its exiting cut groups' wires — one
-    group on a chain interior, several at a tree branching node; the flat
-    ``cut_local`` layout of :class:`~repro.cutting.tree.TreeFragment` makes
-    the distinction invisible here).  The two existing techniques compose
-    because they touch different ends of the same linear map:
+    One fragment may have *both* a preparation side (its entering cut
+    groups) and a measurement side (the union of its exiting cut groups'
+    wires — one group on a chain interior, several at a tree branching
+    node; the flat ``cut_local`` layout of
+    :class:`~repro.cutting.tree.TreeFragment` makes the distinction
+    invisible here).  The two techniques compose because they touch
+    different ends of the same linear map:
 
     * the body is simulated **once**, batched over the ``2^{K_prev}``
       computational initialisations of the entering cut wires (amplitude
-      response columns, as in the pair cache's downstream half);
+      response columns);
     * each measurement setting rotates the cut axes of that whole cached
-      column bank (as in the pair cache's upstream half) — memoised per
+      column bank — memoised per
       setting, or produced for a whole setting *pool* in one stacked
       tensor contraction by :meth:`warm_rotations`;
     * any preparation tuple is a linear combination of the rotated columns,
@@ -578,7 +396,6 @@ class TreeFragmentSimCache:
 class TreeCachePool:
     """One per-fragment simulation cache per tree node.
 
-    The tree analogue of handing a single per-pair cache to every consumer:
     ``pool[i]`` is fragment ``i``'s cache (ideal
     :class:`TreeFragmentSimCache` or noisy
     :class:`~repro.cutting.noisy_cache.NoisyTreeFragmentSimCache`,
@@ -588,7 +405,7 @@ class TreeCachePool:
     bijection.  An ``N``-node tree therefore costs exactly ``N`` body
     transpiles/simulations however many variants are served.  After
     :meth:`warm` every cache is read-only, so the whole pool is safe to
-    share across worker threads — exactly like the per-pair caches.
+    share across worker threads.
     Chains are linear trees, so chain pipelines use the same pool class
     (``ChainCachePool`` is an alias).
     """

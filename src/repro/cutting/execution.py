@@ -1,26 +1,22 @@
 """Executing fragment variants and organising their measurement records.
 
-:func:`run_fragments` submits every upstream setting and downstream
-preparation variant to a backend and returns a :class:`FragmentData` holding,
-for each variant, the *joint empirical distribution* split into (output bits,
-cut bits).  Submission goes through :meth:`repro.backends.base.Backend.run_variants`,
-so backends with an exact simulation engine can serve all variants from one
-shared per-pair cache instead of re-simulating ``3^K + 6^K`` circuits: the
-ideal backend from a :class:`~repro.cutting.cache.FragmentSimCache`, the
-noisy fake-hardware backend from a
-:class:`~repro.cutting.noisy_cache.NoisyFragmentSimCache` (one transpile
-and ``1 + 4^K`` density evolutions per fragment body).
+:func:`run_tree_fragments` submits every ``(inits, setting)`` variant of
+every fragment of a tree or DAG (the paper's single cut is the 2-node
+tree, chains the one-child case) to a backend and returns a
+:class:`TreeFragmentData` holding, per fragment and variant, the *joint
+empirical distribution* split into (output bits, cut bits).  Submission
+goes through :meth:`repro.backends.base.Backend.run_tree_variants`, so
+backends with an exact simulation engine serve every variant from the
+per-node cache pool instead of re-simulating each circuit: the ideal
+backend from :class:`~repro.cutting.cache.TreeFragmentSimCache`, the noisy
+fake-hardware backend from
+:class:`~repro.cutting.noisy_cache.NoisyTreeFragmentSimCache`.  An
+``N``-node tree therefore costs exactly ``N`` body
+transpiles/simulations.
 
-:func:`exact_fragment_data` computes the same tensors in the infinite-shot
-limit directly from the cache — used by exactness tests and by the analytic
-golden-cut finder — at the cost of **one** upstream body simulation plus one
-batched downstream simulation over the ``2^K`` cut-basis initialisations.
-
-Fragment trees (and chains, their one-child case) run through
-:func:`run_tree_fragments` / :func:`exact_tree_data`: one
-:class:`TreeFragmentData` record dict per node, every node served from the
-backend's per-node cache pool, so an ``N``-node tree costs exactly ``N``
-body transpiles/simulations.
+:func:`exact_tree_data` computes the same records in the infinite-shot
+limit directly from the ideal cache pool — used by exactness tests, the
+analytic golden-cut finder and the cut searcher's cost objective.
 """
 
 from __future__ import annotations
@@ -31,70 +27,17 @@ from typing import Sequence
 import numpy as np
 
 from repro.backends.base import Backend
-from repro.cutting.cache import FragmentSimCache
-from repro.cutting.fragments import FragmentPair
-from repro.cutting.variants import (
-    downstream_init_tuples,
-    upstream_setting_tuples,
-)
 from repro.exceptions import CutError
 from repro.utils.bits import split_index
 
 __all__ = [
     "ChainFragmentData",
-    "FragmentData",
     "TreeFragmentData",
     "exact_chain_data",
-    "exact_fragment_data",
     "exact_tree_data",
     "run_chain_fragments",
-    "run_fragments",
     "run_tree_fragments",
 ]
-
-
-@dataclass
-class FragmentData:
-    """Measurement records of every fragment variant.
-
-    Attributes
-    ----------
-    pair:
-        The bipartition the data belongs to.
-    upstream:
-        setting tuple → array ``A[b_out, b_cut]`` of shape
-        ``(2^{n_up_out}, 2^K)``: joint probability of reading output bits
-        ``b_out`` and cut bits ``b_cut`` under that measurement setting.
-        Cut bit ``k`` is the little-endian bit ``k`` of ``b_cut`` (0 ↔ +1
-        eigenvalue, 1 ↔ −1).
-    downstream:
-        init tuple → probability vector of length ``2^{n_down}``.
-    shots_per_variant:
-        Shot budget each variant was run with (0 for exact data).
-    modeled_seconds:
-        Total device-model wall time charged by the backend.
-    """
-
-    pair: FragmentPair
-    upstream: dict[tuple[str, ...], np.ndarray]
-    downstream: dict[tuple[str, ...], np.ndarray]
-    shots_per_variant: int
-    modeled_seconds: float = 0.0
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def num_variants(self) -> int:
-        return len(self.upstream) + len(self.downstream)
-
-    @property
-    def total_shots(self) -> int:
-        return self.shots_per_variant * self.num_variants
-
-    def upstream_settings(self) -> list[tuple[str, ...]]:
-        return list(self.upstream)
-
-    def downstream_inits(self) -> list[tuple[str, ...]]:
-        return list(self.downstream)
 
 
 def _split_joint_probs(
@@ -116,111 +59,6 @@ def _split_joint_probs(
     out = np.zeros((1 << len(out_local), 1 << len(cut_local)), dtype=dtype)
     np.add.at(out, (sub_out, sub_cut), probs)
     return out
-
-
-def _split_upstream_probs(
-    probs: np.ndarray, pair: FragmentPair
-) -> np.ndarray:
-    """Rearrange a full upstream distribution into ``A[b_out, b_cut]``."""
-    return _split_joint_probs(probs, pair.up_out_local, pair.up_cut_local)
-
-
-def run_fragments(
-    pair: FragmentPair,
-    backend: Backend,
-    shots: int,
-    settings: Sequence[tuple[str, ...]] | None = None,
-    inits: Sequence[tuple[str, ...]] | None = None,
-    seed: "int | np.random.Generator | None" = None,
-    cache: "FragmentSimCache | None" = None,
-    retry=None,
-    ledger=None,
-) -> FragmentData:
-    """Execute all (or the given) fragment variants on ``backend``.
-
-    ``settings``/``inits`` default to the full standard sets
-    (``{X,Y,Z}^K`` and ``6^K``); golden pipelines pass reduced sets.
-    ``cache`` may carry a pre-built variant cache from
-    :meth:`~repro.backends.base.Backend.make_variant_cache` for backends
-    whose fast path consumes one (ignored by circuit-level backends).
-
-    ``retry`` (a :class:`~repro.cutting.resilience.RetryPolicy`) turns on
-    the resilient path: one batched attempt bit-identical to the retry-free
-    call, per-variant replay with backoff on transient faults, attempts
-    logged to ``ledger``.  Exhaustion always raises here — graceful
-    degradation is a tree-pipeline notion.
-    """
-    if settings is None:
-        settings = upstream_setting_tuples(pair.num_cuts)
-    if inits is None:
-        inits = downstream_init_tuples(pair.num_cuts)
-    settings = [tuple(s) for s in settings]
-    inits = [tuple(i) for i in inits]
-    if not settings or not inits:
-        raise CutError("empty variant sets")
-
-    t0 = backend.clock.now
-    if retry is None:
-        results = backend.run_variants(
-            pair, settings, inits, shots=shots, seed=seed, cache=cache
-        )
-    else:
-        from repro.cutting.resilience import RetryEngine
-        from repro.utils.rng import spawn_seed_sequences
-
-        engine = RetryEngine(retry, ledger=ledger)
-        if cache is None:
-            cache = backend.make_variant_cache(pair)
-        jobs = [("up", s) for s in settings] + [("down", a) for a in inits]
-        sites = [("pair", kind, label) for kind, label in jobs]
-        children = spawn_seed_sequences(seed, len(jobs))
-
-        def batch_call(streams):
-            return backend.run_variants(
-                pair, settings, inits, shots=shots, seed=streams, cache=cache
-            )
-
-        def single_call(j, stream):
-            kind, label = jobs[j]
-            ups = [label] if kind == "up" else []
-            downs = [label] if kind == "down" else []
-            return backend.run_variants(
-                pair, ups, downs, shots=shots, seed=[stream], cache=cache
-            )[0]
-
-        widths = [pair.n_up] * len(settings) + [pair.n_down] * len(inits)
-        results, _ = engine.run_batch(
-            sites,
-            children,
-            batch_call,
-            single_call,
-            expected_shots=shots,
-            expected_qubits=widths,
-            clock=backend.clock,
-            breaker_key="pair",
-            on_exhausted="raise",
-        )
-    seconds = backend.clock.now - t0
-
-    upstream: dict[tuple[str, ...], np.ndarray] = {}
-    for s, res in zip(settings, results[: len(settings)]):
-        upstream[s] = _split_upstream_probs(res.probabilities(), pair)
-    downstream: dict[tuple[str, ...], np.ndarray] = {}
-    for i, res in zip(inits, results[len(settings) :]):
-        downstream[i] = res.probabilities()
-
-    return FragmentData(
-        pair=pair,
-        upstream=upstream,
-        downstream=downstream,
-        shots_per_variant=shots,
-        modeled_seconds=seconds,
-        metadata={
-            "backend": getattr(backend, "name", "backend"),
-            "num_upstream": len(settings),
-            "num_downstream": len(inits),
-        },
-    )
 
 
 @dataclass
@@ -358,7 +196,7 @@ def run_tree_fragments(
 ) -> TreeFragmentData:
     """Execute every tree fragment's variants on ``backend``.
 
-    The tree analogue of :func:`run_fragments`: fragment ``i``'s combos
+    Fragment ``i``'s combos
     (default: the full ``6^{K_in} · 3^{K_out}`` product over its entering
     group and flat exiting cuts; golden pipelines pass reduced lists) are
     submitted through
@@ -597,31 +435,4 @@ def exact_chain_data(
     """Infinite-shot chain fragment data (chains are linear trees)."""
     return ChainFragmentData._from_tree_data(
         exact_tree_data(chain, variants=variants, pool=pool, dtype=dtype)
-    )
-
-
-def exact_fragment_data(
-    pair: FragmentPair,
-    settings: Sequence[tuple[str, ...]] | None = None,
-    inits: Sequence[tuple[str, ...]] | None = None,
-    cache: "FragmentSimCache | None" = None,
-) -> FragmentData:
-    """Infinite-shot fragment data from the shared simulation cache."""
-    if settings is None:
-        settings = upstream_setting_tuples(pair.num_cuts)
-    if inits is None:
-        inits = downstream_init_tuples(pair.num_cuts)
-    if cache is None:
-        cache = FragmentSimCache(pair)
-    upstream = {tuple(s): cache.upstream_joint(s) for s in settings}
-    inits = [tuple(i) for i in inits]
-    down_probs = cache.downstream_probabilities_batch(inits) if inits else []
-    downstream = {i: p for i, p in zip(inits, down_probs)}
-    return FragmentData(
-        pair=pair,
-        upstream=upstream,
-        downstream=downstream,
-        shots_per_variant=0,
-        modeled_seconds=0.0,
-        metadata={"backend": "exact"},
     )

@@ -1,18 +1,10 @@
-"""Persistence for fragment measurement data.
+"""Resumable persistence for tree fragment runs.
 
 Device runs are the expensive part of circuit cutting — on real clouds they
-are queued for hours.  ``save_fragment_data``/``load_fragment_data`` archive
-every variant's statistics (plus the bipartition book-keeping needed for
-reconstruction) into a single ``.npz`` file, so reconstruction and golden
-analysis can be re-run offline without touching the backend again.
-
-The circuit structure itself is stored as the text-QASM dialect of
-:mod:`repro.circuits.qasm`, making archives self-contained and
-human-inspectable (``numpy.savez`` of arrays + a JSON header).
-
-:class:`TreeCheckpoint` is the resumable flavour for tree runs: a
-directory holding one ``.npz`` per *completed* fragment plus a manifest
-pinning the tree structure and shot budget.
+are queued for hours.  :class:`TreeCheckpoint` is a directory holding one
+``.npz`` per *completed* fragment plus a manifest pinning the tree
+structure and shot budget (:func:`tree_run_signature`, which hashes every
+fragment circuit as the text-QASM dialect of :mod:`repro.circuits.qasm`).
 :func:`~repro.cutting.execution.run_tree_fragments` persists each
 fragment's records as it finishes and, on resume, loads finished fragments
 instead of re-executing them (their RNG streams are still burned, so the
@@ -28,99 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.circuits.qasm import circuit_from_qasm, circuit_to_qasm
-from repro.cutting.cut import CutPoint, CutSpec
-from repro.cutting.execution import FragmentData
-from repro.cutting.fragments import FragmentPair
+from repro.circuits.qasm import circuit_to_qasm
 from repro.exceptions import ReconstructionError
 
 __all__ = [
     "TreeCheckpoint",
-    "load_fragment_data",
-    "save_fragment_data",
     "tree_run_signature",
 ]
 
 _FORMAT_VERSION = 1
-
-
-def save_fragment_data(data: FragmentData, path: "str | Path") -> Path:
-    """Archive fragment data (and its bipartition) to ``path`` (.npz)."""
-    path = Path(path)
-    pair = data.pair
-    header = {
-        "format_version": _FORMAT_VERSION,
-        "num_cuts": pair.num_cuts,
-        "up_cut_local": pair.up_cut_local,
-        "down_cut_local": pair.down_cut_local,
-        "up_out_local": pair.up_out_local,
-        "up_out_original": pair.up_out_original,
-        "down_out_local": pair.down_out_local,
-        "down_out_original": pair.down_out_original,
-        "cuts": [[c.wire, c.gate_index] for c in pair.spec.cuts]
-        if pair.spec
-        else [],
-        "upstream_qasm": circuit_to_qasm(pair.upstream),
-        "downstream_qasm": circuit_to_qasm(pair.downstream),
-        "shots_per_variant": data.shots_per_variant,
-        "modeled_seconds": data.modeled_seconds,
-        "upstream_keys": [list(k) for k in data.upstream],
-        "downstream_keys": [list(k) for k in data.downstream],
-    }
-    arrays = {"__header__": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-    for i, (key, arr) in enumerate(data.upstream.items()):
-        arrays[f"up_{i}"] = arr
-    for i, (key, vec) in enumerate(data.downstream.items()):
-        arrays[f"down_{i}"] = vec
-    np.savez_compressed(path, **arrays)
-    return path
-
-
-def load_fragment_data(path: "str | Path") -> FragmentData:
-    """Restore a :class:`FragmentData` archive written by ``save``."""
-    path = Path(path)
-    with np.load(path) as archive:
-        try:
-            header = json.loads(bytes(archive["__header__"]).decode())
-        except KeyError:
-            raise ReconstructionError(f"{path} is not a fragment archive") from None
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise ReconstructionError(
-                f"unsupported archive version {header.get('format_version')}"
-            )
-        upstream = {
-            tuple(key): archive[f"up_{i}"]
-            for i, key in enumerate(header["upstream_keys"])
-        }
-        downstream = {
-            tuple(key): archive[f"down_{i}"]
-            for i, key in enumerate(header["downstream_keys"])
-        }
-    spec = (
-        CutSpec(tuple(CutPoint(w, g) for w, g in header["cuts"]))
-        if header["cuts"]
-        else None
-    )
-    pair = FragmentPair(
-        upstream=circuit_from_qasm(header["upstream_qasm"]),
-        downstream=circuit_from_qasm(header["downstream_qasm"]),
-        num_cuts=header["num_cuts"],
-        up_cut_local=list(header["up_cut_local"]),
-        down_cut_local=list(header["down_cut_local"]),
-        up_out_local=list(header["up_out_local"]),
-        up_out_original=list(header["up_out_original"]),
-        down_out_local=list(header["down_out_local"]),
-        down_out_original=list(header["down_out_original"]),
-        spec=spec,
-    )
-    return FragmentData(
-        pair=pair,
-        upstream=upstream,
-        downstream=downstream,
-        shots_per_variant=int(header["shots_per_variant"]),
-        modeled_seconds=float(header["modeled_seconds"]),
-        metadata={"loaded_from": str(path)},
-    )
 
 
 def tree_run_signature(tree, shots: int) -> str:

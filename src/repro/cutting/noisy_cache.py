@@ -1,46 +1,43 @@
 """Shared-body simulation cache for *noisy* (density-matrix) backends.
 
-:class:`~repro.cutting.cache.FragmentSimCache` collapsed the ideal backend's
-``3^K + 6^K`` fragment-variant simulations into one body simulation plus a
-``2^K``-column linear response.  The noisy path — the one that produces the
-paper's Fig. 3 accuracy and Fig. 5 hardware numbers — still paid a full
-transpile *and* a full density-matrix evolution per variant.  Both are
-redundant, for the same structural reason:
+:class:`~repro.cutting.cache.TreeFragmentSimCache` collapses the ideal
+backend's per-variant fragment simulations into one batched body
+simulation plus cheap rotations.  The noisy path — the one that produces
+the paper's Fig. 3 accuracy and Fig. 5 hardware numbers — would otherwise
+pay a full transpile *and* a full density-matrix evolution per variant.
+Both are redundant, for the same structural reason:
 
 * **one transpile per fragment body** — variant circuits differ from the
-  body only by terminal measurement rotations (upstream) or initial
-  preparation gates (downstream), fenced off by a ``barrier``.  The
-  transpile pipeline never optimises across a fence, so the physical
-  variant circuit is *exactly* ``transpile(body)`` plus the lowered variant
-  gates (gate for gate, angle for angle — pinned by
-  ``tests/test_noisy_fast_path_equivalence.py``);
-* **upstream: one noisy evolution** — the body's output density matrix is
-  evolved once; each of the ``3^K`` settings conjugates it by its lowered
-  terminal rotations (with their own gate noise) — a handful of single-qubit
-  operations instead of a full re-evolution;
-* **downstream: a ``4^K``-column superoperator linear response** — quantum
+  body only by initial preparation gates and terminal measurement
+  rotations, fenced off by a ``barrier``.  The transpile pipeline never
+  optimises across a fence, so the physical variant circuit is *exactly*
+  ``lowered preps + transpile(body) + lowered rotations`` (gate for gate,
+  angle for angle — pinned by ``tests/test_noisy_fast_path_equivalence.py``);
+* **a ``4^{K_in}``-column superoperator linear response** — quantum
   channels are linear in ρ, and a 2×2 density matrix lives in the real span
   of the four states ``{|0⟩⟨0|, |1⟩⟨1|, |+⟩⟨+|, |y+⟩⟨y+|}``.  The noisy body
-  channel is evolved once over the ``4^K`` product initialisations of that
-  Hermitian basis (a single batched evolution), and the *noisy* prepared
-  state of any preparation tuple — computed exactly, including the
-  preparation gates' own noise, from tiny 2×2 evolutions — is a real linear
-  combination of them.  Any of the ``6^K`` (or reduced) preparation
-  variants is then one GEMV over the cached response columns.
+  channel is evolved once over the ``4^{K_in}`` product initialisations of
+  that Hermitian basis on the entering cut wires (a single batched
+  evolution), and the *noisy* prepared state of any preparation tuple —
+  computed exactly, including the preparation gates' own noise, from tiny
+  2×2 evolutions — is a real linear combination of them;
+* **one batched rotation pass per setting** — each measurement setting
+  conjugates the whole cached batch by its lowered terminal rotations
+  (with their own gate noise) instead of re-evolving the body.
 
-Net effect: ``3^K + 6^K`` transpiles + evolutions become ``2`` transpiles +
-``1 + 4^K`` evolutions per (pair, device), matching the per-variant
-reference path to ≤ 1e-9.  This compounds with the paper's neglect scheme:
-"Efficient Quantum Circuit Cutting by Neglecting Basis Elements" shrinks
-the variant *set*; this cache makes each remaining variant nearly free.
+Net effect per fragment: ``6^{K_in} · 3^{K_out}`` transpiles + evolutions
+become ``1`` transpile + ``4^{K_in}`` body evolutions + ``3^{K_out}``
+rotation passes, matching per-variant execution to ≤ 1e-9.  This compounds
+with the paper's neglect scheme: "Efficient Quantum Circuit Cutting by
+Neglecting Basis Elements" shrinks the variant *set*; this cache makes each
+remaining variant nearly free.
 
 The cache is consumed by
-:meth:`repro.backends.fake_hardware.FakeHardwareBackend.run_variants`, by
-:func:`repro.parallel.executor.run_fragments_parallel` (via
-:meth:`~repro.backends.base.Backend.make_variant_cache`), and by
-:func:`repro.core.pipeline.cut_and_run`, which shares one instance across
-pilot, golden and production stages.  After :meth:`warm` the cache is
-read-only and safe to share across worker threads.
+:meth:`repro.backends.fake_hardware.FakeHardwareBackend.run_tree_variants`
+through the backend's per-node cache pool, which
+:func:`repro.core.pipeline.cut_and_run_tree` shares across the pilot
+sweep and the production run.  After ``warm`` the cache is read-only and
+safe to share across worker threads.
 """
 
 from __future__ import annotations
@@ -53,16 +50,11 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.circuits.instruction import Instruction
 from repro.config import COMPLEX_DTYPE
-from repro.cutting.fragments import FragmentPair
 from repro.cutting.variants import PREPARATION_STATES
 from repro.exceptions import CutError
 from repro.backends.fake_hardware import finalize_physical_probs
 from repro.linalg.channels import apply_channel
-from repro.sim.density import (
-    evolve_noisy_tensor,
-    probabilities_from_tensor,
-    zero_density_tensor,
-)
+from repro.sim.density import evolve_noisy_tensor, probabilities_from_tensor
 from repro.transpile.basis import decompose_to_basis
 from repro.transpile.coupling import CouplingMap
 from repro.transpile.passes import cancel_adjacent_inverses, merge_single_qubit_runs
@@ -71,7 +63,6 @@ from repro.transpile.pipeline import transpile
 __all__ = [
     "HERMITIAN_BASIS_STATES",
     "NoisyChainFragmentSimCache",
-    "NoisyFragmentSimCache",
     "NoisyTreeFragmentSimCache",
 ]
 
@@ -122,311 +113,10 @@ def _lower_1q(circuit: Circuit) -> Circuit:
     return cancel_adjacent_inverses(merge_single_qubit_runs(decompose_to_basis(circuit)))
 
 
-class NoisyFragmentSimCache:
-    """Lazy per-(pair, device) cache of noisy fragment-body evolutions.
-
-    Parameters
-    ----------
-    pair:
-        The fragment bipartition.
-    coupling:
-        Physical topology of the target device (drives the one-time
-        transpile of each body).
-    noise_model:
-        The device's :class:`~repro.noise.model.NoiseModel`; gate channels
-        are interleaved into the cached evolutions and the readout
-        confusion matrices are applied per served distribution, exactly as
-        the per-variant execution path would.
-
-    ``stats`` counts the expensive operations actually performed —
-    ``transpiles`` (≤ 2: one per fragment body), ``up_evolutions`` (≤ 1)
-    and ``down_columns`` (≤ ``4^K``, all evolved in one batched pass) — so
-    tests can pin the ``2 + (1 + 4^K)`` law.
-    """
-
-    __slots__ = (
-        "pair",
-        "coupling",
-        "noise_model",
-        "stats",
-        "_up",
-        "_down",
-        "_up_probs",
-        "_up_phys",
-        "_down_probs",
-        "_down_phys",
-        "_prep_lowered",
-        "_prep_coeff",
-    )
-
-    def __init__(
-        self,
-        pair: FragmentPair,
-        coupling: CouplingMap,
-        noise_model,
-    ) -> None:
-        self.pair = pair
-        self.coupling = coupling
-        self.noise_model = noise_model
-        self.stats = {"transpiles": 0, "up_evolutions": 0, "down_columns": 0}
-        self._up: "tuple | None" = None  # (physical, layout, rho_tensor)
-        self._down: "tuple | None" = None  # (physical, layout, raw_diag (4^K, 2^n))
-        self._up_probs: dict[tuple[str, ...], np.ndarray] = {}
-        self._up_phys: dict[tuple[str, ...], Circuit] = {}
-        self._down_probs: dict[tuple[str, ...], np.ndarray] = {}
-        self._down_phys: dict[tuple[str, ...], Circuit] = {}
-        self._prep_lowered: dict[str, Circuit] = {}
-        self._prep_coeff: dict[tuple[str, int], np.ndarray] = {}
-
-    # ------------------------------------------------------------- helpers
-    def _finalize(
-        self, probs: np.ndarray, layout: Sequence[int], logical_width: int
-    ) -> np.ndarray:
-        """Clip/trace-check a raw physical diagonal, then the shared
-        readout → un-permute → marginalise tail of per-variant execution."""
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
-            # CPTP channels preserve trace; drift means a bug upstream.
-            raise RuntimeError(f"noisy simulation lost trace: {total}")
-        probs = finalize_physical_probs(
-            probs / total, self.noise_model.readout, layout, logical_width
-        )
-        probs.setflags(write=False)
-        return probs
-
-    def _fence(self, layout: Sequence[int], logical_width: int) -> Instruction:
-        """The body/variant barrier as it appears in the physical circuit."""
-        return Instruction(
-            Gate("barrier"), tuple(layout[q] for q in range(logical_width))
-        )
-
-    # ------------------------------------------------------------- upstream
-    def _upstream_state(self) -> tuple:
-        """Transpile + evolve the noisy upstream body (once)."""
-        if self._up is None:
-            physical, layout = transpile(self.pair.upstream, self.coupling)
-            self.stats["transpiles"] += 1
-            n = physical.num_qubits
-            t = evolve_noisy_tensor(
-                zero_density_tensor(n), physical, self.noise_model, n
-            )
-            self.stats["up_evolutions"] += 1
-            self._up = (physical, layout, t)
-        return self._up
-
-    def _rotation_circuit(
-        self, setting: tuple[str, ...], layout: Sequence[int], n_phys: int
-    ) -> Circuit:
-        """Lowered terminal rotations of one setting, on physical wires."""
-        rot = Circuit(n_phys, name="rot")
-        for k, basis in enumerate(setting):
-            p = layout[self.pair.up_cut_local[k]]
-            if basis == "X":
-                rot.h(p)
-            elif basis == "Y":
-                rot.sdg(p).h(p)
-            elif basis != "Z":
-                raise CutError(f"invalid measurement basis {basis!r}")
-        return _lower_1q(rot)
-
-    def upstream_probabilities(self, setting: Sequence[str]) -> np.ndarray:
-        """Noisy outcome distribution of one measurement setting (logical)."""
-        key = tuple(setting)
-        out = self._up_probs.get(key)
-        if out is not None:
-            return out
-        if len(key) != self.pair.num_cuts:
-            raise CutError("setting tuple length != number of cuts")
-        physical, layout, rho = self._upstream_state()
-        n = physical.num_qubits
-        rot = self._rotation_circuit(key, layout, n)
-        t = evolve_noisy_tensor(rho, rot, self.noise_model, n)
-        out = self._finalize(
-            probabilities_from_tensor(t, n, clip=False), layout, self.pair.n_up
-        )
-        self._up_probs[key] = out
-        return out
-
-    def upstream_physical(self, setting: Sequence[str]) -> Circuit:
-        """The physical circuit of one upstream variant (for timing/metadata).
-
-        Identical, instruction for instruction, to transpiling the variant
-        circuit from scratch — the factorisation invariant of the fenced
-        transpile pipeline.
-        """
-        key = tuple(setting)
-        out = self._up_phys.get(key)
-        if out is None:
-            physical, layout, _ = self._upstream_state()
-            rot = self._rotation_circuit(key, layout, physical.num_qubits)
-            # named like the logical variant so virtual-clock ledger labels
-            # match per-circuit execution
-            out = Circuit(
-                physical.num_qubits,
-                name=f"{self.pair.upstream.name}[{','.join(key)}]",
-            )
-            for inst in physical:
-                out.append(inst)
-            out.append(self._fence(layout, self.pair.n_up))
-            for inst in rot:
-                out.append(inst)
-            self._up_phys[key] = out
-        return out
-
-    # ----------------------------------------------------------- downstream
-    def _downstream_state(self) -> tuple:
-        """Transpile the downstream body and evolve the 4^K response bank."""
-        if self._down is None:
-            pair = self.pair
-            physical, layout = transpile(pair.downstream, self.coupling)
-            self.stats["transpiles"] += 1
-            n = physical.num_qubits
-            K = pair.num_cuts
-            B = 1 << (2 * K)
-            init = np.zeros((2,) * (2 * n) + (B,), dtype=COMPLEX_DTYPE)
-            # preparation gates act before any routing SWAP, so cut wires sit
-            # at their logical physical positions
-            cuts = list(pair.down_cut_local)
-            sl: list = [0] * (2 * n)
-            for q in cuts:
-                sl[q] = slice(None)
-                sl[q + n] = slice(None)
-            order = sorted(range(K), key=lambda k: cuts[k])
-            for j in range(B):
-                operands: list = []
-                for a, k in enumerate(order):
-                    d = (j >> (2 * k)) & 3
-                    operands += [HERMITIAN_BASIS_STATES[d], [a, K + a]]
-                block = np.einsum(*operands, list(range(2 * K)))
-                init[tuple(sl) + (j,)] = block
-            t = evolve_noisy_tensor(init, physical, self.noise_model, n)
-            self.stats["down_columns"] += B
-            self._down = (
-                physical,
-                layout,
-                probabilities_from_tensor(t, n, clip=False),
-            )
-        return self._down
-
-    def _lowered_prep(self, code: str) -> Circuit:
-        """One preparation code's gates through the 1q transpile tail."""
-        out = self._prep_lowered.get(code)
-        if out is None:
-            try:
-                gates = PREPARATION_STATES[code]
-            except KeyError:
-                raise CutError(f"invalid preparation code {code!r}") from None
-            qc = Circuit(1)
-            for g in gates:
-                qc.add_gate(g, (0,))
-            out = _lower_1q(qc)
-            self._prep_lowered[code] = out
-        return out
-
-    def _prep_coefficients(self, code: str, qubit: int) -> np.ndarray:
-        """Hermitian-basis expansion of the *noisy* prepared state.
-
-        The 2×2 state after the lowered preparation gates **and their noise
-        channels** on the given physical wire — preparation pulses are noisy
-        operations too, and the linear response must carry that noise to
-        match per-variant execution exactly.
-        """
-        key = (code, qubit)
-        out = self._prep_coeff.get(key)
-        if out is None:
-            rho = np.zeros((2, 2), dtype=COMPLEX_DTYPE)
-            rho[0, 0] = 1.0
-            for inst in self._lowered_prep(code):
-                m = inst.gate.matrix()
-                rho = m @ rho @ m.conj().T
-                for channel, _ in self.noise_model.channels_for(
-                    inst.name, (qubit,)
-                ):
-                    rho = apply_channel(rho, channel, (0,), 1)
-            out = _expand_in_basis(rho)
-            out.setflags(write=False)
-            self._prep_coeff[key] = out
-        return out
-
-    def _init_coefficients(self, inits: tuple[str, ...]) -> np.ndarray:
-        """Response-column coefficients of one preparation tuple (length 4^K)."""
-        if len(inits) != self.pair.num_cuts:
-            raise CutError("init tuple length != number of cuts")
-        K = self.pair.num_cuts
-        js = np.arange(1 << (2 * K))
-        c = np.ones(js.size, dtype=np.float64)
-        for k, code in enumerate(inits):
-            ck = self._prep_coefficients(code, self.pair.down_cut_local[k])
-            c *= ck[(js >> (2 * k)) & 3]
-        return c
-
-    def downstream_probabilities(self, inits: Sequence[str]) -> np.ndarray:
-        """Noisy output distribution of one preparation tuple (logical)."""
-        key = tuple(inits)
-        out = self._down_probs.get(key)
-        if out is None:
-            _, layout, diag = self._downstream_state()
-            raw = self._init_coefficients(key) @ diag
-            out = self._finalize(raw, layout, self.pair.n_down)
-            self._down_probs[key] = out
-        return out
-
-    def downstream_physical(self, inits: Sequence[str]) -> Circuit:
-        """The physical circuit of one downstream variant."""
-        key = tuple(inits)
-        out = self._down_phys.get(key)
-        if out is None:
-            pair = self.pair
-            physical, layout, _ = self._downstream_state()
-            prep = Circuit(physical.num_qubits)
-            for k, code in enumerate(key):
-                q = pair.down_cut_local[k]
-                for g in PREPARATION_STATES[code]:
-                    prep.add_gate(g, (q,))
-            out = Circuit(
-                physical.num_qubits,
-                name=f"{pair.downstream.name}[{','.join(key)}]",
-            )
-            for inst in _lower_1q(prep):
-                out.append(inst)
-            out.append(
-                Instruction(Gate("barrier"), tuple(range(pair.n_down)))
-            )
-            for inst in physical:
-                out.append(inst)
-            self._down_phys[key] = out
-        return out
-
-    # ---------------------------------------------------------------- misc
-    def upstream_layout(self) -> list[int]:
-        """Final logical→physical layout of the transpiled upstream body."""
-        return list(self._upstream_state()[1])
-
-    def downstream_layout(self) -> list[int]:
-        """Final logical→physical layout of the transpiled downstream body."""
-        return list(self._downstream_state()[1])
-
-    def warm(
-        self,
-        settings: Iterable[Sequence[str]] = (),
-        inits: Iterable[Sequence[str]] = (),
-    ) -> "NoisyFragmentSimCache":
-        """Precompute entries so later reads are lock-free and thread-safe."""
-        for s in settings:
-            self.upstream_probabilities(s)
-            self.upstream_physical(s)
-        for i in inits:
-            self.downstream_probabilities(i)
-            self.downstream_physical(i)
-        return self
-
-
 class NoisyTreeFragmentSimCache:
     """Lazy per-(tree fragment, device) cache of noisy body evolutions.
 
-    The topology-general version of :class:`NoisyFragmentSimCache`: one
-    fragment may both receive preparations (its entering cut group) and
+    One fragment may both receive preparations (its entering cut group) and
     measure cut wires (the flat union of its exiting groups — one group on
     a chain interior, several at a tree branching node).  The same two
     linear-response arguments compose:
@@ -486,9 +176,61 @@ class NoisyTreeFragmentSimCache:
         self._prep_coeff: dict[tuple[str, int], np.ndarray] = {}
 
     # ------------------------------------------------------------- helpers
-    _finalize = NoisyFragmentSimCache._finalize
-    _lowered_prep = NoisyFragmentSimCache._lowered_prep
-    _prep_coefficients = NoisyFragmentSimCache._prep_coefficients
+    def _finalize(
+        self, probs: np.ndarray, layout: Sequence[int], logical_width: int
+    ) -> np.ndarray:
+        """Clip/trace-check a raw physical diagonal, then the shared
+        readout → un-permute → marginalise tail of per-variant execution."""
+        probs = np.clip(probs, 0.0, None)
+        total = probs.sum()
+        if abs(total - 1.0) > 1e-6:
+            # CPTP channels preserve trace; drift means a bug upstream.
+            raise RuntimeError(f"noisy simulation lost trace: {total}")
+        probs = finalize_physical_probs(
+            probs / total, self.noise_model.readout, layout, logical_width
+        )
+        probs.setflags(write=False)
+        return probs
+
+    def _lowered_prep(self, code: str) -> Circuit:
+        """One preparation code's gates through the 1q transpile tail."""
+        out = self._prep_lowered.get(code)
+        if out is None:
+            try:
+                gates = PREPARATION_STATES[code]
+            except KeyError:
+                raise CutError(f"invalid preparation code {code!r}") from None
+            qc = Circuit(1)
+            for g in gates:
+                qc.add_gate(g, (0,))
+            out = _lower_1q(qc)
+            self._prep_lowered[code] = out
+        return out
+
+    def _prep_coefficients(self, code: str, qubit: int) -> np.ndarray:
+        """Hermitian-basis expansion of the *noisy* prepared state.
+
+        The 2×2 state after the lowered preparation gates **and their noise
+        channels** on the given physical wire — preparation pulses are noisy
+        operations too, and the linear response must carry that noise to
+        match per-variant execution exactly.
+        """
+        key = (code, qubit)
+        out = self._prep_coeff.get(key)
+        if out is None:
+            rho = np.zeros((2, 2), dtype=COMPLEX_DTYPE)
+            rho[0, 0] = 1.0
+            for inst in self._lowered_prep(code):
+                m = inst.gate.matrix()
+                rho = m @ rho @ m.conj().T
+                for channel, _ in self.noise_model.channels_for(
+                    inst.name, (qubit,)
+                ):
+                    rho = apply_channel(rho, channel, (0,), 1)
+            out = _expand_in_basis(rho)
+            out.setflags(write=False)
+            self._prep_coeff[key] = out
+        return out
 
     @property
     def _body(self) -> "tuple | None":

@@ -1,52 +1,43 @@
 """Cutting with general (non-diagonal) Pauli observables — paper Eq. 14.
 
 The paper's experiments use computational-basis projectors, but Eq. 14 is
-stated for any observable that splits across the bipartition, noting that
+stated for any observable that splits across the cut, noting that
 "expansions using Pauli strings would yield a linear combination of
 operators that are qubit-wise separable".  This module implements that
-general case:
+general case on the one cutting engine:
 
-* a Pauli string `O = O_f1 ⊗ O_f2` is measured by appending basis-change
-  gates on each fragment's *output* qubits (X → H, Y → H·S†) — exactly the
-  trick hardware uses — after which the observable is diagonal and the
-  standard reconstruction applies;
+* a Pauli string ``O`` is measured by appending basis-change gates to the
+  *uncut* circuit's output wires (X → H, Y → H·S†) — exactly the trick
+  hardware uses.  The rotations come after every cut point, so they land
+  on whichever fragment ends each wire and never touch the tomography
+  protocol on cut wires; the observable is then diagonal and the run is an
+  ordinary :func:`~repro.core.pipeline.cut_and_run_tree` on the 2-node
+  tree, read out with ``expectation(diagonal)``;
 * a Pauli *sum* (Hamiltonian) is evaluated group-wise: qubit-wise-commuting
   terms share one set of fragment executions
   (:meth:`~repro.observables.pauli_obs.PauliSumObservable.measurement_groups`),
-  so the execution cost is `groups × variants`, not `terms × variants`.
+  so the execution cost is ``groups × variants``, not ``terms × variants``.
 
 Golden cutting composes transparently: Definition 1 depends on the
-upstream observable factor, so the analytic finder / detector simply run on
-the *rotated* fragment pair.
+measuring fragment's observable factor, so the analytic finder simply runs
+on the *rotated* circuit's fragments.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
 from repro.backends.base import Backend
 from repro.circuits.circuit import Circuit
-from repro.core.golden import find_golden_bases_analytic
-from repro.core.neglect import (
-    reduced_bases,
-    reduced_init_tuples,
-    reduced_setting_tuples,
-)
 from repro.cutting.cut import CutSpec
-from repro.cutting.execution import run_fragments
-from repro.cutting.fragments import FragmentPair, bipartition
-from repro.cutting.reconstruction import reconstruct_expectation
 from repro.exceptions import CutError, ReproError
 from repro.linalg.paulis import PauliString
 from repro.observables.pauli_obs import PauliSumObservable
 from repro.utils.rng import as_generator, derive_rng
 
 __all__ = [
-    "rotated_fragment_pair",
-    "fragment_diagonals",
+    "rotated_circuit",
+    "observable_diagonal",
     "cut_pauli_expectation",
     "cut_pauli_sum_expectation",
 ]
@@ -61,64 +52,54 @@ _ROTATIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _append_rotations(
-    circuit: Circuit, out_local: Sequence[int], labels: Sequence[str]
-) -> Circuit:
+def rotated_circuit(circuit: Circuit, observable: PauliString) -> Circuit:
+    """``circuit`` with its outputs rotated into ``observable``'s basis.
+
+    Terminal single-qubit rotations are appended per wire, so every
+    existing instruction index — and therefore every
+    :class:`~repro.cutting.cut.CutSpec` of ``circuit`` — stays valid.
+    """
+    if observable.num_qubits != circuit.num_qubits:
+        raise ReproError(
+            f"observable width {observable.num_qubits} != circuit width "
+            f"{circuit.num_qubits}"
+        )
     out = circuit.copy()
-    for q, label in zip(out_local, labels):
+    for q, label in enumerate(observable.labels):
         for g in _ROTATIONS[label]:
             out.add_gate(g, (q,))
     return out
 
 
-def rotated_fragment_pair(
-    pair: FragmentPair, observable: PauliString
-) -> FragmentPair:
-    """Fragment pair with output qubits rotated into ``observable``'s basis.
+def observable_diagonal(observable: PauliString) -> np.ndarray:
+    """Post-rotation diagonal of ``observable`` over the full register.
 
-    The returned pair has identical cut/output book-keeping; only the
-    fragment circuits gain terminal single-qubit rotations on output wires
-    (never on cut wires — those keep the tomography protocol).
-    """
-    if observable.num_qubits != len(pair.output_order()):
-        raise ReproError(
-            f"observable width {observable.num_qubits} != circuit width "
-            f"{len(pair.output_order())}"
-        )
-    up_labels = [observable.labels[q] for q in pair.up_out_original]
-    down_labels = [observable.labels[q] for q in pair.down_out_original]
-    return replace(
-        pair,
-        upstream=_append_rotations(pair.upstream, pair.up_out_local, up_labels),
-        downstream=_append_rotations(
-            pair.downstream, pair.down_out_local, down_labels
-        ),
-    )
-
-
-def fragment_diagonals(
-    pair: FragmentPair, observable: PauliString
-) -> tuple[np.ndarray, np.ndarray]:
-    """Post-rotation diagonal factors ``(diag_up, diag_down)``.
-
-    After the basis change every non-identity label contributes a Z, so
-    each factor is the ``{I,Z}`` reduction of the observable restricted to
-    that fragment's outputs.  The string's scalar phase multiplies the
-    upstream factor (it must be real for a Hermitian expectation).
+    After the basis change every non-identity label contributes a Z, so the
+    diagonal is that of the ``{I,Z}`` reduction times the string's scalar
+    phase (which must be real for a Hermitian expectation).
     """
     if abs(observable.phase.imag) > 1e-12:
         raise ReproError("observable phase must be real for an expectation")
-    z_or_i = ["I" if c == "I" else "Z" for c in observable.labels]
-    up = PauliString(
-        tuple(z_or_i[q] for q in pair.up_out_original),
+    reduced = PauliString(
+        tuple("I" if c == "I" else "Z" for c in observable.labels),
         phase=float(observable.phase.real),
     )
-    down = PauliString(tuple(z_or_i[q] for q in pair.down_out_original))
-    diag_up = up.diagonal().real if up.num_qubits else np.array([up.phase.real])
-    diag_down = (
-        down.diagonal().real if down.num_qubits else np.array([1.0])
+    return reduced.diagonal().real
+
+
+def _run(circuit, cuts, backend, shots, golden, seed):
+    from repro.core.pipeline import cut_and_run_tree
+
+    # raw quasi-probabilities keep the expectation estimator unbiased
+    return cut_and_run_tree(
+        circuit,
+        backend,
+        [cuts],
+        shots=shots,
+        golden=golden,
+        postprocess="raw",
+        seed=seed,
     )
-    return diag_up, diag_down
 
 
 def cut_pauli_expectation(
@@ -133,24 +114,14 @@ def cut_pauli_expectation(
     """⟨O⟩ of ``circuit`` for one Pauli string, evaluated via cutting.
 
     ``golden``: ``"off"`` or ``"analytic"`` (the finder runs on the rotated
-    pair, since goldenness is observable-dependent).
+    circuit, since goldenness is observable-dependent).
     """
-    pair = rotated_fragment_pair(bipartition(circuit, cuts), observable)
-    diag_up, diag_down = fragment_diagonals(pair, observable)
-    settings = inits = bases = None
-    if golden == "analytic":
-        found = find_golden_bases_analytic(pair)
-        gm = {k: bs[0] for k, bs in found.items() if bs}
-        if gm:
-            settings = reduced_setting_tuples(pair.num_cuts, gm)
-            inits = reduced_init_tuples(pair.num_cuts, gm)
-            bases = reduced_bases(pair.num_cuts, gm)
-    elif golden != "off":
+    if golden not in ("off", "analytic"):
         raise CutError('golden must be "off" or "analytic" here')
-    data = run_fragments(
-        pair, backend, shots=shots, settings=settings, inits=inits, seed=seed
+    run = _run(
+        rotated_circuit(circuit, observable), cuts, backend, shots, golden, seed
     )
-    return reconstruct_expectation(data, diag_up, diag_down, bases=bases)
+    return run.expectation(observable_diagonal(observable))
 
 
 def cut_pauli_sum_expectation(
@@ -171,7 +142,6 @@ def cut_pauli_sum_expectation(
     if hamiltonian.num_qubits != circuit.num_qubits:
         raise ReproError("hamiltonian width mismatch")
     rng = as_generator(seed)
-    base_pair = bipartition(circuit, cuts)
     groups = hamiltonian.measurement_groups()
     energy = 0.0
     executions = 0
@@ -182,16 +152,18 @@ def cut_pauli_sum_expectation(
             for q, c in enumerate(hamiltonian.terms[idx][1].labels):
                 if c != "I":
                     basis[q] = c
-        group_string = PauliString(tuple(basis))
-        pair = rotated_fragment_pair(base_pair, group_string)
-        data = run_fragments(
-            pair, backend, shots=shots, seed=derive_rng(rng, gi)
+        run = _run(
+            rotated_circuit(circuit, PauliString(tuple(basis))),
+            cuts,
+            backend,
+            shots,
+            "off",
+            derive_rng(rng, gi),
         )
-        executions += data.total_shots
+        executions += run.total_executions
         for idx in members:
             coeff, term = hamiltonian.terms[idx]
-            diag_up, diag_down = fragment_diagonals(pair, term)
-            energy += coeff * reconstruct_expectation(data, diag_up, diag_down)
+            energy += coeff * run.expectation(observable_diagonal(term))
     info = {
         "num_groups": len(groups),
         "num_terms": hamiltonian.num_terms,

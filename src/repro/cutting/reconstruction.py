@@ -1,35 +1,50 @@
 """Classical reconstruction of the uncut circuit from fragment data.
 
-Implements paper Eq. 13/14.  For each Pauli-basis tuple ``M`` over the cuts,
-define the *reduced fragment tensors*
+Implements paper Eq. 13/14 on a fragment network.  Every fragment of a
+tree or DAG (the paper's single cut is the 2-node tree, a chain the
+one-child tree) becomes a *reduced tensor* with one basis-row axis per
+incident cut group plus its output axis.  The preparation side is
+contracted like
 
 .. math::
 
-    \\hat A[M, b_1] = \\sum_r \\Big(\\prod_k w_k(r_k)\\Big)\\,
-        \\hat p_{S(M)}(b_1, r), \\qquad
-    \\hat B[M, b_2] = \\sum_s \\Big(\\prod_k w_k(s_k)\\Big)\\,
-        \\hat p_{\\mathrm{init}(M,s)}(b_2),
+    \\hat B[M, b] = \\sum_s \\Big(\\prod_k w_k(s_k)\\Big)\\,
+        \\hat p_{\\mathrm{init}(M,s)}(b),
+
+a signed sum over the eigenstates of the entering row's bases, and the
+measurement side like
+
+.. math::
+
+    \\hat A[M, b] = \\sum_r \\Big(\\prod_k w_k(r_k)\\Big)\\,
+        \\hat p_{S(M)}(b, r),
 
 with weights ``w_k = +1`` for ``M_k = I`` and the outcome eigenvalue
-``(1 - 2 bit)`` otherwise.  Then the joint distribution over the two
-fragments' outputs is one GEMM:
+``(1 - 2 bit)`` otherwise.  The joint output distribution is the
+contraction of the network over every cut group's row axis, scaled by
+``Π_g 2^{-K_g}``; for a single cut group this is the paper's
 
 .. math::
 
     p[b_1, b_2] = \\frac{1}{2^K} \\sum_M \\hat A[M, b_1]\\, \\hat B[M, b_2].
 
-Both tensor builders are *fully factorised over the cuts*: the measured
-data is stacked into a tensor with one axis per cut, and each cut
-contributes a small per-cut transfer matrix (basis → setting/eigenvalue
-weights upstream, basis → preparation weights downstream) that is
-contracted in with a single ``tensordot`` — no Python loop over the
-``4^K`` basis rows or the ``2^K`` preparation index.  Golden cutting
-points drop basis elements from individual cuts' pools, which simply
-*slices rows off the per-cut transfer matrices*: the paper's
-``O(4^{K_r} 3^{K_g})`` term count falls out of the factorisation for free
-(see :mod:`repro.core`).  The pre-vectorisation implementations are kept as
-``*_reference`` functions — they define the semantics and anchor the
-equivalence tests in ``tests/test_fast_path_equivalence.py``.
+Both sides of a fragment tensor are *fully factorised over the cuts*: the
+measured records are stacked into a tensor with one axis per cut, and each
+cut contributes a small per-cut transfer matrix (basis → setting/eigenvalue
+weights on the measuring side, basis → preparation weights on the
+preparing side) that is contracted in with a single ``tensordot`` — no
+Python loop over basis rows or preparation indices.  Golden cutting points
+drop basis elements from individual cuts' pools, which simply *slices rows
+off the per-cut transfer matrices*: the paper's ``O(4^{K_r} 3^{K_g})`` term
+count falls out of the factorisation for free, group by group (see
+:mod:`repro.core`).  The brute-force row loops the kernels are validated
+against live with the tests (``tests/oracles.py``).
+
+There is one contraction path: the network is merged pairwise in the order
+of a :class:`~repro.cutting.contraction.ContractionPlan` — the fixed
+leaves-to-root order on trees, a searched one on DAGs — optionally pruning
+outcome columns after every merge (``prune=``, see
+:mod:`repro.cutting.sparse`).
 
 Finite shots can leave small negative quasi-probabilities; ``postprocess``
 chooses between returning them (``"raw"``), clipping + renormalising
@@ -45,7 +60,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cutting.execution import FragmentData, TreeFragmentData
 from repro.cutting.sparse import (
     PrunePolicy,
     SparseDistribution,
@@ -55,21 +69,11 @@ from repro.exceptions import ReconstructionError
 from repro.utils.bits import permute_probability_axes
 
 __all__ = [
-    "build_upstream_tensor",
-    "build_downstream_tensor",
-    "build_upstream_tensor_reference",
-    "build_downstream_tensor_reference",
     "build_chain_fragment_tensor",
-    "build_chain_fragment_tensor_reference",
     "build_tree_fragment_tensor",
-    "build_tree_fragment_tensor_reference",
-    "reconstruct_distribution",
     "reconstruct_chain_distribution",
-    "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution",
-    "reconstruct_tree_distribution_reference",
     "reconstruct_counts",
-    "reconstruct_expectation",
     "project_to_simplex",
     "DEFAULT_DTYPE",
     "FULL_BASES",
@@ -87,16 +91,6 @@ _PREP_OF = {
     "X": ("X+", "X-"),
     "Y": ("Y+", "Y-"),
 }
-
-
-def _basis_rows(bases: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
-    for k, pool in enumerate(bases):
-        bad = set(pool) - set(FULL_BASES)
-        if bad:
-            raise ReconstructionError(f"invalid bases {bad} for cut {k}")
-        if not pool:
-            raise ReconstructionError(f"cut {k} has an empty basis pool")
-    return list(itertools.product(*bases))
 
 
 def _signs_for(mask: int, num_cuts: int) -> np.ndarray:
@@ -117,218 +111,38 @@ def _signs_for(mask: int, num_cuts: int) -> np.ndarray:
 def _normalise_bases(
     bases: Sequence[Sequence[str]] | None, num_cuts: int
 ) -> list[tuple[str, ...]]:
+    """Per-cut basis pools of one group, validated against ``{I,X,Y,Z}``."""
     if bases is None:
         return [FULL_BASES] * num_cuts
     if len(bases) != num_cuts:
         raise ReconstructionError("bases list length != number of cuts")
-    return [tuple(b) for b in bases]
-
-
-def _upstream_pools(data: FragmentData) -> tuple[list[list[str]], list[str]]:
-    """Per-cut physically available settings and the ``I``-row fallback."""
-    K = data.pair.num_cuts
-    settings = data.upstream_settings()
-    if not settings:
-        raise ReconstructionError("no upstream data")
-    pools = [sorted({s[k] for s in settings}) for k in range(K)]
-    fallback = ["Z" if "Z" in p else p[0] for p in pools]
-    return pools, fallback
-
-
-def build_upstream_tensor(
-    data: FragmentData, bases: Sequence[Sequence[str]] | None = None
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Â over all basis rows: shape ``(R, 2^{n_up_out})``.
-
-    For rows containing ``I`` the estimator reuses any available physical
-    setting for that cut (preferring Z) — the ``I`` component is the outcome
-    *marginal*, which every setting estimates.
-
-    Vectorised: the per-setting joint tensors are stacked into
-    ``A[t_0..t_{K-1}, b_out, r_0..r_{K-1}]`` and each cut's transfer tensor
-    ``U_k[m, t, r] = δ(t = setting(m)) · w_m(r)`` is contracted in with one
-    ``tensordot``; the basis-row axes accumulate in product order.
-    """
-    K = data.pair.num_cuts
-    bases = _normalise_bases(bases, K)
-    rows = _basis_rows(bases)
-    _, fallback = _upstream_pools(data)
-
-    # Per-cut physical letters actually referenced by the requested pools.
-    letters: list[list[str]] = []
-    for k, pool in enumerate(bases):
-        need: list[str] = []
-        for m in pool:
-            s = m if m != "I" else fallback[k]
-            if s not in need:
-                need.append(s)
-        letters.append(need)
-
-    needed = list(itertools.product(*letters))
-    for setting in needed:
-        if setting not in data.upstream:
-            row = tuple(
-                next(
-                    m
-                    for m in bases[k]
-                    if (m if m != "I" else fallback[k]) == setting[k]
-                )
-                for k in range(K)
-            )
-            raise ReconstructionError(
-                f"row {row} needs upstream setting {setting}, which was not run"
-            )
-
-    n_out_dim = 1 << data.pair.n_up_out
-    T = np.stack([data.upstream[s] for s in needed])
-    T = T.reshape(tuple(len(l) for l in letters) + (n_out_dim,) + (2,) * K)
-    # C-order split of b_cut yields bit axes most-significant first; reverse
-    # them so trailing axis j = cut j.
-    T = T.transpose(tuple(range(K + 1)) + tuple(range(2 * K, K, -1)))
-
-    for k in range(K):
-        pool, need = bases[k], letters[k]
-        U = np.zeros((len(pool), len(need), 2))
-        for i, m in enumerate(pool):
-            t = need.index(m if m != "I" else fallback[k])
-            U[i, t, 0] = 1.0
-            U[i, t, 1] = 1.0 if m == "I" else -1.0
-        nt = K - k  # remaining setting axes; r_k sits just past b_out
-        T = np.moveaxis(np.tensordot(U, T, axes=([1, 2], [0, nt + 1])), 0, -1)
-
-    # T axes: (b_out, m_0..m_{K-1}) -> (rows, b_out)
-    out = np.ascontiguousarray(np.moveaxis(T, 0, -1).reshape(len(rows), n_out_dim))
-    return out, rows
-
-
-def build_downstream_tensor(
-    data: FragmentData, bases: Sequence[Sequence[str]] | None = None
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """B̂ over all basis rows: shape ``(R, 2^{n_down})``.
-
-    Vectorised like :func:`build_upstream_tensor`: preparation records are
-    stacked into ``D[c_0..c_{K-1}, b_2]`` and each cut's transfer matrix
-    ``V_k[m, c] = ±1`` (eigenvalue weight of preparation ``c`` in basis
-    ``m``; 0 when unused) is contracted in with one ``tensordot``.
-    """
-    K = data.pair.num_cuts
-    bases = _normalise_bases(bases, K)
-    rows = _basis_rows(bases)
-
-    codes: list[list[str]] = []
-    for pool in bases:
-        need: list[str] = []
-        for m in pool:
-            for c in _PREP_OF[m]:
-                if c not in need:
-                    need.append(c)
-        codes.append(need)
-
-    needed = list(itertools.product(*codes))
-    for init in needed:
-        if init not in data.downstream:
-            row = tuple(
-                next(m for m in bases[k] if init[k] in _PREP_OF[m])
-                for k in range(K)
-            )
-            raise ReconstructionError(
-                f"row {row} needs downstream init {init}, which was not run"
-            )
-
-    n_down_dim = 1 << data.pair.n_down
-    T = np.stack([data.downstream[c] for c in needed])
-    T = T.reshape(tuple(len(c) for c in codes) + (n_down_dim,))
-
-    for k in range(K):
-        pool, need = bases[k], codes[k]
-        V = np.zeros((len(pool), len(need)))
-        for i, m in enumerate(pool):
-            plus, minus = _PREP_OF[m]
-            V[i, need.index(plus)] = 1.0
-            V[i, need.index(minus)] = 1.0 if m == "I" else -1.0
-        T = np.moveaxis(np.tensordot(V, T, axes=([1], [0])), 0, -1)
-
-    out = np.ascontiguousarray(np.moveaxis(T, 0, -1).reshape(len(rows), n_down_dim))
-    return out, rows
+    pools = [tuple(b) for b in bases]
+    for k, pool in enumerate(pools):
+        bad = set(pool) - set(FULL_BASES)
+        if bad:
+            raise ReconstructionError(f"invalid bases {bad} for cut {k}")
+        if not pool:
+            raise ReconstructionError(f"cut {k} has an empty basis pool")
+    return pools
 
 
 # ---------------------------------------------------------------------------
-# Reference (pre-vectorisation) kernels.  These are the semantic ground
-# truth: one Python iteration per basis row (and per preparation index
-# downstream), straight from paper Eq. 13.  Kept for equivalence tests,
-# benchmarks, and as executable documentation of the factorised kernels.
-
-
-def build_upstream_tensor_reference(
-    data: FragmentData, bases: Sequence[Sequence[str]] | None = None
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Row-by-row Â builder (reference semantics for the vectorised kernel)."""
-    K = data.pair.num_cuts
-    bases = _normalise_bases(bases, K)
-    rows = _basis_rows(bases)
-    _, fallback = _upstream_pools(data)
-
-    n_out = data.pair.n_up_out
-    out = np.empty((len(rows), 1 << n_out))
-    for i, row in enumerate(rows):
-        setting = tuple(
-            m if m != "I" else fallback[k] for k, m in enumerate(row)
-        )
-        A = data.upstream.get(setting)
-        if A is None:
-            raise ReconstructionError(
-                f"row {row} needs upstream setting {setting}, which was not run"
-            )
-        mask = sum(1 << k for k, m in enumerate(row) if m != "I")
-        out[i] = A @ _signs_for(mask, K)
-    return out, rows
-
-
-def build_downstream_tensor_reference(
-    data: FragmentData, bases: Sequence[Sequence[str]] | None = None
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Row-by-row B̂ builder (reference semantics for the vectorised kernel)."""
-    K = data.pair.num_cuts
-    bases = _normalise_bases(bases, K)
-    rows = _basis_rows(bases)
-    n_down = data.pair.n_down
-    out = np.zeros((len(rows), 1 << n_down))
-    for i, row in enumerate(rows):
-        for s in range(1 << K):
-            init = tuple(
-                _PREP_OF[m][(s >> k) & 1] for k, m in enumerate(row)
-            )
-            vec = data.downstream.get(init)
-            if vec is None:
-                raise ReconstructionError(
-                    f"row {row} needs downstream init {init}, which was not run"
-                )
-            mask = sum(1 << k for k, m in enumerate(row) if m != "I")
-            sign = 1.0 - 2.0 * (bin(s & mask).count("1") & 1)
-            out[i] += sign * vec
-    return out, rows
-
-
-# ---------------------------------------------------------------------------
-# Fragment-tree reconstruction (chains are the one-child case).  With nodes
-# F_0 .. F_{N-1} and cut groups g = 0 .. N-2 (group g linking its source
-# node to its destination node), the joint output distribution is the
-# tree-order contraction
+# Fragment-network reconstruction.  With nodes F_0 .. F_{N-1} and cut groups
+# g (group g linking its source node to its destination node), the joint
+# output distribution is the contraction
 #
-#     p[b_0..b_{N-1}] = (Π_g 2^{-K_g}) Σ_{M_0..M_{N-2}}
+#     p[b_0..b_{N-1}] = (Π_g 2^{-K_g}) Σ_{M_0..M_{G-1}}
 #         Π_i T_i[M_{in(i)}, M_{out_1(i)}, .., M_{out_C(i)}, b_i]
 #
 # where T_i is node i's *reduced tensor*: its prep side is contracted like
-# B̂ (signed sum over preparation eigenstates of the entering group's basis
-# row) and its measure side like Â (eigenvalue-weighted outcome sum), with
+# B̂ (signed sum over preparation eigenstates of the entering groups' basis
+# rows) and its measure side like Â (eigenvalue-weighted outcome sum), with
 # **one row axis per exiting child group**.  Each side factorises over its
-# cuts into the same per-cut transfer matrices the pair builders use, so
-# neglected pools still just slice rows off individual cuts' factors — the
-# paper's O(4^{K_r} 3^{K_g}) reduction applies per cut group.  The
-# contraction runs leaves to root, one tensordot per edge, so per-group row
-# counts only ever meet their neighbours and never multiply globally.  A
-# chain is the tree in which every node has one child, and the chain entry
-# points below are thin wrappers over this single engine.
+# cuts into per-cut transfer matrices, so neglected pools just slice rows
+# off individual cuts' factors — the paper's O(4^{K_r} 3^{K_g}) reduction
+# applies per cut group.  The contraction merges clusters of fragments
+# pairwise along a plan, one tensordot per merge, so per-group row counts
+# only ever meet their neighbours and never multiply globally.
 
 
 def _tree_of(data):
@@ -359,7 +173,7 @@ def _chain_fallback(
 
 
 def _chain_rows(data, index: int, bases):
-    """Shared per-fragment row bookkeeping of all tree/chain builders.
+    """Shared per-fragment row bookkeeping of the tensor builders.
 
     Returns ``(frag, records, prev_bases, next_bases, rows_prev, rows_next,
     fallback)`` — the **flat** entering pools (every entering group's
@@ -367,10 +181,9 @@ def _chain_rows(data, index: int, bases):
     tree node, several at a joint-prep DAG node) and the **flat** exiting
     pools (every child group's per-cut pools concatenated the same way)
     resolved from ``bases``, their basis-row products (``[()]`` at the root
-    / leaves) and the per-cut ``I``-row fallback letters.  On a chain node
-    this is exactly the pre-tree bookkeeping; at a branching node
-    ``rows_next`` runs over the product of the child groups' rows, and at
-    a joint-prep node ``rows_prev`` over the product of the entering
+    / leaves) and the per-cut ``I``-row fallback letters.  At a branching
+    node ``rows_next`` runs over the product of the child groups' rows, and
+    at a joint-prep node ``rows_prev`` over the product of the entering
     groups' rows.
     """
     tree = _tree_of(data)
@@ -397,8 +210,8 @@ def _chain_row_runs(index, frag, records, rows_prev, rows_next, fallback):
     its entering-side sign, the exiting-side eigenvalue weight vector and
     the measured record ``A[b_out, b_cut]``.  This is the *single*
     definition of which variant serves which row (``I``-fallback
-    substitution included) — shared by the reference tensor builder and the
-    variance model so the two cannot drift.
+    substitution included) — shared by the variance model and the test
+    oracles so the two cannot drift.
     """
     Kp, Kn = frag.num_prep, frag.num_meas
     for a, row_p in enumerate(rows_prev):
@@ -423,136 +236,15 @@ def _chain_row_runs(index, frag, records, rows_prev, rows_next, fallback):
                 yield a, b, sign, signs_n, A
 
 
-def _contract_tree(
-    tensors: Sequence[np.ndarray], tree
-) -> tuple[np.ndarray, list[int]]:
-    """Leaves-to-root contraction of per-node reduced tensors.
-
-    ``tensors[i]`` has shape ``(R_in, R_out_1, .., R_out_C, D_i)`` (child
-    row axes in node ``i``'s exiting-group order).  Nodes are processed in
-    reverse topological order: each child's accumulated subtree vector is
-    contracted into its parent's tensor over the shared group-row axis, so
-    the cost per edge is (parent rows) × (child rows) and per-group row
-    counts never multiply globally.  Returns the joint vector over all
-    outputs together with the original-qubit label of every bit (the
-    contraction's own accumulation order) — callers permute with
-    :func:`~repro.utils.bits.permute_probability_axes`.  Shared kernel of
-    :func:`reconstruct_tree_distribution` and the tree variance model.
-    """
-    acc: dict[int, np.ndarray] = {}
-    order: dict[int, list[int]] = {}
-    for i in reversed(range(tree.num_fragments)):
-        frag = tree.fragments[i]
-        t = tensors[i]
-        labels = list(frag.out_original)
-        for h in frag.meas_groups:
-            child = tree.group_dst[h]
-            # t axes: (R_in, <remaining child rows>, D_i, <done subtrees>);
-            # the next child's row axis is always axis 1, and tensordot
-            # appends the child's subtree bits at the end
-            t = np.tensordot(t, acc.pop(child), axes=([1], [0]))
-            labels.extend(order.pop(child))
-        C = frag.num_children
-        # (R_in, D_i, d_1..d_C) -> (R_in, d_C..d_1, D_i): C-order ravel then
-        # leaves D_i fastest, keeping the node's own bits least significant
-        perm = (0,) + tuple(range(C + 1, 1, -1)) + (1,)
-        t = t.transpose(perm)
-        acc[i] = np.ascontiguousarray(t).reshape(t.shape[0], -1)
-        order[i] = labels
-    return acc[0][0], order[0]
-
-
-def _contract_tree_pruned(
-    data, tree, bases, prune: PrunePolicy, dtype
-) -> tuple[np.ndarray, np.ndarray, list[int], float]:
-    """Leaves-to-root contraction with outcome pruning at every step.
-
-    The sparse twin of :func:`_contract_tree`: each subtree's accumulator
-    is a matrix over its *kept* outcome columns plus an aligned ``int64``
-    array of their little-endian value indices (own bits least
-    significant, child subtrees appended — the same bit bookkeeping as the
-    dense labels).  The node's own output axis is pruned at build time
-    (:func:`build_tree_fragment_tensor`), and after **each** child
-    contraction the combined outcome axis is re-pruned, so intermediate
-    widths stay ~``k × 2^{n_out}`` instead of multiplying across children.
-    One tensordot per edge is preserved, over exactly the kept slices.
-
-    Pruning scores are the all-``I``-row mixed-input marginals; each
-    step's discarded bound mass (see :mod:`repro.cutting.sparse`)
-    accumulates into the returned ``prune_bound``.  When nothing is
-    pruned the arithmetic — tensordot operands, summation order, final
-    division — is the very sequence the dense kernel runs, so
-    ``top_k(2^n)`` is bit-identical to the dense reconstruction.
-
-    Returns ``(indices, values, order, prune_bound)`` with ``order`` the
-    original-qubit label of each value-index bit, as in the dense kernel.
-    """
-    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
-    irow = [_identity_row_index(pools) for pools in group_bases]
-    acc: dict[int, np.ndarray] = {}
-    vals: dict[int, np.ndarray] = {}
-    nbits: dict[int, int] = {}
-    order: dict[int, list[int]] = {}
-    kin: dict[int, int] = {}
-    bound = 0.0
-    for i in reversed(range(tree.num_fragments)):
-        frag = tree.fragments[i]
-        t, _, _, keep, eps = build_tree_fragment_tensor(
-            data, i, bases, dtype, prune
-        )
-        bound += max(eps, 0.0)
-        v = keep.astype(np.int64)
-        nb = frag.n_out
-        labels = list(frag.out_original)
-        in_row = irow[frag.in_group] if frag.in_group is not None else 0
-        scale_in = float(
-            1 << tree.group_sizes[frag.in_group]
-            if frag.in_group is not None
-            else 1
-        )
-        k_inside = 0
-        for j, h in enumerate(frag.meas_groups):
-            child = tree.group_dst[h]
-            # axes: (R_in, <remaining child rows>, kept, child kept) — the
-            # next child's row axis is always axis 1, as in the dense kernel
-            t = np.tensordot(t, acc.pop(child), axes=([1], [0]))
-            v = (v[:, None] | (vals.pop(child) << nb)[None, :]).ravel()
-            nb += nbits.pop(child)
-            labels.extend(order.pop(child))
-            t = t.reshape(t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
-            k_inside += tree.group_sizes[h] + kin.pop(child)
-            # prune the partial combination: its all-I rows (entering group
-            # + not-yet-contracted exit groups) are 2^{K_in} × the partial
-            # subtree's mixed-input marginal once the contracted cuts'
-            # 2^{k_inside} normalisation is divided out
-            sel = (in_row,) + tuple(
-                irow[h2] for h2 in frag.meas_groups[j + 1 :]
-            )
-            mass = np.maximum(t[sel] / float(1 << k_inside), 0.0)
-            keep = prune.select(mass / scale_in)
-            if keep.size < mass.size:
-                bound += max(float(mass.sum() - mass[keep].sum()), 0.0)
-                t = np.ascontiguousarray(t[..., keep])
-                v = v[keep]
-        acc[i] = t.reshape(t.shape[0], -1)
-        vals[i] = v
-        nbits[i] = nb
-        order[i] = labels
-        kin[i] = k_inside
-    values = acc[0][0] / float(1 << tree.total_cuts)
-    return vals[0], values, order[0], bound
-
-
 def _resolve_plan(tree, bases, plan):
     """Normalise the ``plan=`` knob of the tree/DAG reconstruction.
 
-    ``None`` on a pure tree keeps the historical leaves-to-root kernels
-    (bit-identical); ``None`` on a DAG searches a plan automatically
-    (``"auto"``).  A method string (``"auto"``/``"fixed"``/``"greedy"``/
-    ``"dp"``) searches with that planner; an explicit
-    :class:`~repro.cutting.contraction.ContractionPlan` is validated and
-    used as given.  Returns ``None`` exactly when the historical tree
-    kernels should run.
+    ``None`` picks the fixed leaves-to-root plan on a pure tree (no search
+    cost; every tree edge is contracted exactly once) and searches a plan
+    automatically on a DAG (``"auto"``).  A method string
+    (``"auto"``/``"fixed"``/``"greedy"``/``"dp"``) searches with that
+    planner; an explicit :class:`~repro.cutting.contraction.ContractionPlan`
+    is validated and used as given.
     """
     from repro.cutting.contraction import (
         ContractionPlan,
@@ -561,9 +253,7 @@ def _resolve_plan(tree, bases, plan):
     )
 
     if plan is None:
-        if tree.is_tree:
-            return None
-        plan = "auto"
+        plan = "fixed" if tree.is_tree else "auto"
     if isinstance(plan, ContractionPlan):
         plan.validate(tree.num_fragments)
         return plan
@@ -571,7 +261,7 @@ def _resolve_plan(tree, bases, plan):
 
 
 class _NetCluster:
-    """One cluster of the generic network contraction.
+    """One cluster of the network contraction.
 
     ``groups`` lists the open cut groups, one leading tensor axis each
     (same order); the trailing axis is the flat joint output, bit ``j``
@@ -632,9 +322,8 @@ def _merge_clusters(a: "_NetCluster", b: "_NetCluster", group_sizes):
     index *is* the outcome value, so ``a``'s axis is raveled fastest; on
     the pruned path the kept columns' values live in ``v`` instead
     (``v_b`` shifted past ``a``'s bits) and the ravel keeps ``a``
-    slowest, mirroring the tree kernel's child-append order.  With no
-    shared group (disconnected halves of a multi-source DAG) the merge
-    degenerates to an outer product.
+    slowest.  With no shared group (disconnected halves of a multi-source
+    DAG) the merge degenerates to an outer product.
     """
     shared = [g for g in a.groups if g in b.groups]
     ia = [a.groups.index(g) for g in shared]
@@ -665,78 +354,16 @@ def _merge_clusters(a: "_NetCluster", b: "_NetCluster", group_sizes):
     )
 
 
-def _contract_network(
-    tensors, tree, plan, bases
-) -> tuple[np.ndarray, list[int]]:
-    """Planned pairwise contraction of a fragment network (dense).
+def _walk_plan(clusters, tree, plan, after_merge=None) -> "_NetCluster":
+    """Merge ``clusters`` pairwise in ``plan`` order; return the last one.
 
-    The DAG-general counterpart of :func:`_contract_tree`: node tensors
-    are split into one row axis per incident group and merged pairwise in
-    ``plan`` order; each merge is one ``tensordot`` over the groups the
-    two clusters share.  Returns the joint output vector and the original
-    qubit label of each bit, exactly like the tree kernel — on a pure
-    tree with the fixed plan the merge sequence coincides with the
-    historical order (equality to ≤ 1e-9; the tree kernel remains the
-    bit-identical default).
+    The single plan walk of the dense and pruned contractions: clusters
+    are tracked by union-find over fragment indices, each step merges the
+    clusters holding its two fragments (:func:`_merge_clusters`), and
+    ``after_merge`` (the pruned path's re-selection) may shrink the merged
+    cluster in place before it is stored.  A plan that merges a cluster
+    with itself, or leaves a group uncontracted, is rejected.
     """
-    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
-    clusters = _network_clusters(tensors, tree, group_bases)
-    rep = list(range(tree.num_fragments))
-
-    def find(x: int) -> int:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for a, b in plan.steps:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ReconstructionError(
-                f"contraction plan merges cluster of fragment {a} with "
-                "itself"
-            )
-        clusters[ra] = _merge_clusters(
-            clusters[ra], clusters.pop(rb), tree.group_sizes
-        )
-        rep[rb] = ra
-    (last,) = clusters.values()
-    if last.groups:
-        raise ReconstructionError(
-            f"contraction plan leaves groups {last.groups} open"
-        )
-    return last.t, last.labels
-
-
-def _contract_network_pruned(
-    data, tree, bases, prune: PrunePolicy, dtype, plan
-) -> tuple[np.ndarray, np.ndarray, list[int], float]:
-    """Planned pairwise network contraction with outcome pruning.
-
-    The DAG-general counterpart of :func:`_contract_tree_pruned`: after
-    every merge the combined outcome axis is re-pruned by its
-    mixed-input marginal — the all-``I`` row over every *open* group
-    axis, normalised by the ``2^{k_closed}`` of the cuts contracted
-    inside the cluster and scored against ``2^{Σ K_g}`` over the open
-    groups *entering* the cluster (their joint state obeys
-    ``ρ ≤ 2^{K}·I/2^{K}``; open exiting groups' ``I`` rows are plain
-    outcome marginals and carry no scale).  Discarded mass accumulates
-    into the returned rigorous ``prune_bound`` exactly as on the tree
-    path.
-    """
-    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
-    irow = [_identity_row_index(pools) for pools in group_bases]
-    tensors = []
-    vals = []
-    bound = 0.0
-    for i in range(tree.num_fragments):
-        t, _, _, keep, eps = build_tree_fragment_tensor(
-            data, i, bases, dtype, prune
-        )
-        bound += max(eps, 0.0)
-        tensors.append(t)
-        vals.append(keep.astype(np.int64))
-    clusters = _network_clusters(tensors, tree, group_bases, vals=vals)
     rep = list(range(tree.num_fragments))
 
     def find(x: int) -> int:
@@ -756,27 +383,91 @@ def _contract_network_pruned(
             clusters[ra], clusters.pop(rb), tree.group_sizes
         )
         rep[rb] = ra
-        if merged.groups:
-            sel = tuple(irow[g] for g in merged.groups)
-            mass = np.maximum(
-                merged.t[sel] / float(1 << merged.k_closed), 0.0
-            )
-            k_open_prep = sum(
-                tree.group_sizes[g]
-                for g in merged.groups
-                if tree.group_dst[g] in merged.members
-            )
-            keep = prune.select(mass / float(1 << k_open_prep))
-            if keep.size < mass.size:
-                bound += max(float(mass.sum() - mass[keep].sum()), 0.0)
-                merged.t = np.ascontiguousarray(merged.t[..., keep])
-                merged.v = merged.v[keep]
+        if after_merge is not None:
+            after_merge(merged)
         clusters[ra] = merged
     (last,) = clusters.values()
     if last.groups:
         raise ReconstructionError(
             f"contraction plan leaves groups {last.groups} open"
         )
+    return last
+
+
+def _contract_network(
+    tensors, tree, plan, bases
+) -> tuple[np.ndarray, list[int]]:
+    """Planned pairwise contraction of a fragment network (dense).
+
+    Node tensors (from :func:`build_tree_fragment_tensor`, or the variance
+    model's substituted moments) are split into one row axis per incident
+    group and merged pairwise in ``plan`` order; each merge is one
+    ``tensordot`` over the groups the two clusters share.  Returns the
+    joint output vector together with the original-qubit label of every
+    bit — callers permute with
+    :func:`~repro.utils.bits.permute_probability_axes`.
+    """
+    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
+    last = _walk_plan(
+        _network_clusters(tensors, tree, group_bases), tree, plan
+    )
+    return last.t, last.labels
+
+
+def _contract_network_pruned(
+    data, tree, bases, prune: PrunePolicy, dtype, plan
+) -> tuple[np.ndarray, np.ndarray, list[int], float]:
+    """Planned pairwise network contraction with outcome pruning.
+
+    Each node's own output axis is pruned at build time
+    (:func:`build_tree_fragment_tensor`); after **every** merge — the
+    final one included — the combined outcome axis is re-pruned by its
+    mixed-input marginal: the all-``I`` row over every *open* group axis,
+    normalised by the ``2^{k_closed}`` of the cuts contracted inside the
+    cluster and scored against ``2^{Σ K_g}`` over the open groups
+    *entering* the cluster (their joint state obeys
+    ``ρ ≤ 2^{K}·I/2^{K}``; open exiting groups' ``I`` rows are plain
+    outcome marginals and carry no scale).  Intermediate widths therefore
+    stay ~``k × 2^{n_out}`` instead of multiplying across merges, and a
+    ``top_k(k)`` result never holds more than ``k`` outcomes.  Each
+    step's discarded bound mass (see :mod:`repro.cutting.sparse`)
+    accumulates into the returned rigorous ``prune_bound``.  When nothing
+    is pruned the arithmetic is the dense contraction's, so
+    ``top_k(2^n)`` is bit-identical to the dense reconstruction.
+
+    Returns ``(indices, values, order, prune_bound)`` with ``order`` the
+    original-qubit label of each value-index bit.
+    """
+    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
+    irow = [_identity_row_index(pools) for pools in group_bases]
+    tensors = []
+    vals = []
+    bound = 0.0
+    for i in range(tree.num_fragments):
+        t, _, _, keep, eps = build_tree_fragment_tensor(
+            data, i, bases, dtype, prune
+        )
+        bound += max(eps, 0.0)
+        tensors.append(t)
+        vals.append(keep.astype(np.int64))
+
+    def reprune(merged: "_NetCluster") -> None:
+        nonlocal bound
+        sel = tuple(irow[g] for g in merged.groups)
+        mass = np.maximum(merged.t[sel] / float(1 << merged.k_closed), 0.0)
+        k_open_prep = sum(
+            tree.group_sizes[g]
+            for g in merged.groups
+            if tree.group_dst[g] in merged.members
+        )
+        keep = prune.select(mass / float(1 << k_open_prep))
+        if keep.size < mass.size:
+            bound += max(float(mass.sum() - mass[keep].sum()), 0.0)
+            merged.t = np.ascontiguousarray(merged.t[..., keep])
+            merged.v = merged.v[keep]
+
+    clusters = _network_clusters(tensors, tree, group_bases, vals=vals)
+    last = _walk_plan(clusters, tree, plan, reprune)
     values = last.t / float(1 << tree.total_cuts)
     return last.v, values, last.labels, bound
 
@@ -784,16 +475,16 @@ def _contract_network_pruned(
 def build_chain_fragment_tensor(
     data, index: int, bases=None, dtype=DEFAULT_DTYPE
 ) -> tuple[np.ndarray, list, list]:
-    """Reduced tensor of one chain fragment: shape ``(R_prev, R_next, 2^{n_out})``.
+    """Reduced tensor of one fragment over flat rows: ``(R_prev, R_next, 2^{n_out})``.
 
     ``bases`` lists the per-group basis pools (see
-    :func:`reconstruct_chain_distribution`); ``R_prev``/``R_next`` run over
-    the basis rows of the entering/exiting cut group (dimension 1 at the
-    chain ends).  Vectorised exactly like the pair builders: the fragment's
-    records are stacked into one array with an axis per entering
-    preparation code and exiting setting letter, then each exiting cut's
-    ``U_k[m, t, r]`` and each entering cut's ``V_k[m, c]`` transfer matrix
-    is contracted in with a single ``tensordot``.
+    :func:`reconstruct_tree_distribution`); ``R_prev``/``R_next`` run over
+    the basis rows of the node's flat entering/exiting cuts (dimension 1
+    at the root / leaves).  Vectorised: the fragment's records are stacked
+    into one array with an axis per entering preparation code and exiting
+    setting letter, then each exiting cut's ``U_k[m, t, r]`` and each
+    entering cut's ``V_k[m, c]`` transfer matrix is contracted in with a
+    single ``tensordot``.
 
     ``dtype`` is the accumulation precision: the default ``float64`` is
     bit-identical to the historical builder; ``float32`` halves memory
@@ -888,27 +579,6 @@ def build_chain_fragment_tensor(
     return out, rows_prev, rows_next
 
 
-def build_chain_fragment_tensor_reference(
-    data, index: int, bases=None
-) -> tuple[np.ndarray, list, list]:
-    """Row-by-row chain fragment tensor (reference semantics).
-
-    One Python iteration per (entering row, exiting row) pair and per
-    preparation eigenstate index — straight from the paper's Eq. 13 applied
-    to both sides of the fragment.  Semantic ground truth for
-    :func:`build_chain_fragment_tensor`.
-    """
-    frag, records, _, _, rows_prev, rows_next, fallback = _chain_rows(
-        data, index, bases
-    )
-    out = np.zeros((len(rows_prev), len(rows_next), 1 << frag.n_out))
-    for a, b, sign, signs_n, A in _chain_row_runs(
-        index, frag, records, rows_prev, rows_next, fallback
-    ):
-        out[a, b] += sign * (A @ signs_n)
-    return out, rows_prev, rows_next
-
-
 def _identity_row_index(pools) -> int:
     """Flat index of the all-``I`` basis row in a C-order pool product.
 
@@ -989,33 +659,6 @@ def build_tree_fragment_tensor(
     return T, rows_prev, rows_per_group, keep, eps
 
 
-def build_tree_fragment_tensor_reference(
-    data, index: int, bases=None
-) -> tuple[np.ndarray, list, list[list]]:
-    """Row-by-row tree node tensor (reference semantics).
-
-    The brute-force counterpart of :func:`build_tree_fragment_tensor`: one
-    Python iteration per (entering row, flat exiting row) pair and per
-    preparation eigenstate index, via
-    :func:`build_chain_fragment_tensor_reference` — the same Eq. 13 row
-    loop, with the flat row axis split into per-group axes afterwards
-    (exact reshape, no arithmetic).
-    """
-    tree = _tree_of(data)
-    frag = tree.fragments[index]
-    T, rows_prev, _ = build_chain_fragment_tensor_reference(data, index, bases)
-    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
-    rows_per_group = [
-        list(itertools.product(*group_bases[h])) for h in frag.meas_groups
-    ]
-    shape = (
-        (len(rows_prev),)
-        + tuple(len(r) for r in rows_per_group)
-        + (1 << frag.n_out,)
-    )
-    return T.reshape(shape), rows_prev, rows_per_group
-
-
 def reconstruct_tree_distribution(
     data,
     bases=None,
@@ -1024,48 +667,43 @@ def reconstruct_tree_distribution(
     dtype=DEFAULT_DTYPE,
     plan=None,
 ):
-    """Full output distribution of an uncut circuit from tree fragment data.
+    """Full output distribution of an uncut circuit from fragment data.
 
     The single reconstruction engine: every node's reduced tensor is built
-    once, then the tree is contracted leaves to root — each edge is one
-    ``tensordot`` over the shared cut-group row axis, so the cost is linear
-    in the number of fragments and per-group row counts multiply only
-    pairwise along edges, never globally.  ``bases`` lists per-group
-    per-cut basis pools (``bases[g][k]``; ``None`` = full ``{I,X,Y,Z}``),
-    letting golden cuts neglect elements group by group — each group's
-    Kronecker factors are sliced independently.  Chains run through this
-    engine via :func:`reconstruct_chain_distribution`.
+    once, then the fragment network is contracted pairwise along a
+    :class:`~repro.cutting.contraction.ContractionPlan` — each merge is one
+    ``tensordot`` over the cut-group row axes the two clusters share, so
+    per-group row counts meet only their neighbours and never multiply
+    globally.  ``data`` is :class:`~repro.cutting.execution.TreeFragmentData`
+    of a tree or DAG; the paper's single cut is the 2-node tree, and
+    chains run through :func:`reconstruct_chain_distribution`.  ``bases``
+    lists per-group per-cut basis pools (``bases[g][k]``; ``None`` = full
+    ``{I,X,Y,Z}``), letting golden cuts neglect elements group by group —
+    each group's Kronecker factors are sliced independently.
 
-    ``prune=None`` (default) returns the dense ``2^n`` vector exactly as
-    before.  With a policy (:func:`repro.cutting.sparse.threshold` /
+    ``prune=None`` (default) returns the dense ``2^n`` vector.  With a
+    policy (:func:`repro.cutting.sparse.threshold` /
     :func:`~repro.cutting.sparse.top_k`) the contraction prunes outcome
-    columns as it goes and returns a
+    columns after every merge and returns a
     :class:`~repro.cutting.sparse.SparseDistribution` whose
     ``prune_bound`` rigorously bounds the L1 (hence TV) distance to the
     dense result of the same data; ``top_k(2^n)`` (or ``threshold(0)`` on
     non-negative data) keeps everything and is bit-identical to dense.
-    ``dtype`` selects float64 (default, bit-identical to the historical
-    path) or the float32 fast path (pinned at ≤ 1e-6).
+    ``dtype`` selects float64 (default) or the float32 fast path (pinned
+    at ≤ 1e-6).
 
-    ``plan=`` selects the contraction order.  ``None`` keeps the
-    historical leaves-to-root kernels on pure trees (bit-identical) and
-    searches a :class:`~repro.cutting.contraction.ContractionPlan`
-    automatically on DAGs; a method string (``"auto"``/``"fixed"``/
-    ``"greedy"``/``"dp"``) forces a search with that planner, and an
-    explicit plan object is validated and used as given (planned
-    contraction is pinned at ≤ 1e-9 of the tree kernels).
+    ``plan=`` selects the contraction order.  ``None`` runs the fixed
+    leaves-to-root plan on pure trees and searches a plan automatically
+    on DAGs; a method string (``"auto"``/``"fixed"``/``"greedy"``/
+    ``"dp"``) searches with that planner, and an explicit plan object is
+    validated and used as given (every plan agrees to ≤ 1e-9).
     """
     tree = _tree_of(data)
     plan = _resolve_plan(tree, bases, plan)
     if prune is not None:
-        if plan is not None:
-            idx, values, order, bound = _contract_network_pruned(
-                data, tree, bases, prune, dtype, plan
-            )
-        else:
-            idx, values, order, bound = _contract_tree_pruned(
-                data, tree, bases, prune, dtype
-            )
+        idx, values, order, bound = _contract_network_pruned(
+            data, tree, bases, prune, dtype, plan
+        )
         # value-index bit j carries original qubit order[j]: the sparse
         # counterpart of permute_probability_axes' dense reshuffle
         final = np.zeros_like(idx)
@@ -1085,10 +723,7 @@ def reconstruct_tree_distribution(
         build_tree_fragment_tensor(data, i, bases, dtype)[0]
         for i in range(tree.num_fragments)
     ]
-    if plan is not None:
-        v, order = _contract_network(tensors, tree, plan, bases)
-    else:
-        v, order = _contract_tree(tensors, tree)
+    v, order = _contract_network(tensors, tree, plan, bases)
     full = permute_probability_axes(
         v / float(1 << tree.total_cuts), order
     )
@@ -1106,9 +741,8 @@ def reconstruct_chain_distribution(
     """Full output distribution from chain fragment data.
 
     Thin wrapper over :func:`reconstruct_tree_distribution` — a chain is
-    the linear tree, and since the tree refactor there is one contraction
-    engine, not two.  ``prune=``/``dtype=``/``plan=`` carry the same
-    semantics.
+    the linear tree, and there is one contraction engine, not two.
+    ``prune=``/``dtype=``/``plan=`` carry the same semantics.
     """
     return reconstruct_tree_distribution(
         data,
@@ -1118,120 +752,6 @@ def reconstruct_chain_distribution(
         dtype=dtype,
         plan=plan,
     )
-
-
-def reconstruct_tree_distribution_reference(
-    data,
-    bases=None,
-    postprocess: str = "raw",
-) -> np.ndarray:
-    """Brute-force tree reconstruction (reference semantics).
-
-    One Python iteration per element of the *full basis-row product across
-    all cut groups* (``Π_g R_g`` terms — the cost the tree contraction
-    avoids), each term an outer product of per-node reduced-row vectors
-    taken from :func:`build_tree_fragment_tensor_reference`, with every
-    node indexed by its entering group's row and each child group's row.
-    Ground truth for ``tests/test_tree_equivalence.py``.
-    """
-    tree = _tree_of(data)
-    tensors = []
-    group_rows: list = [None] * tree.num_groups
-    for i in range(tree.num_fragments):
-        frag = tree.fragments[i]
-        T, _, rows_per_group = build_tree_fragment_tensor_reference(
-            data, i, bases
-        )
-        tensors.append(T)
-        for h, rows in zip(frag.meas_groups, rows_per_group):
-            group_rows[h] = rows
-
-    n_total = len(tree.output_order())
-    joint = np.zeros(1 << n_total)
-    for combo in itertools.product(*[range(len(r)) for r in group_rows]):
-        vec = None
-        for i in range(tree.num_fragments):
-            frag = tree.fragments[i]
-            # flat entering row: C-order product over the entering groups
-            # (later groups fastest), matching the flat pool concatenation
-            a = 0
-            for h in frag.in_groups:
-                a = a * len(group_rows[h]) + combo[h]
-            sel = tuple(combo[h] for h in frag.meas_groups)
-            term = tensors[i][(a,) + sel]
-            # outer product keeps earlier nodes least significant
-            vec = term if vec is None else np.multiply.outer(term, vec).ravel()
-        joint += vec
-    joint /= float(1 << tree.total_cuts)
-    full = permute_probability_axes(joint, tree.output_order())
-    return _postprocess(full, postprocess)
-
-
-def reconstruct_chain_distribution_reference(
-    data,
-    bases=None,
-    postprocess: str = "raw",
-) -> np.ndarray:
-    """Brute-force chain reconstruction (reference semantics).
-
-    Thin wrapper over :func:`reconstruct_tree_distribution_reference`
-    (a chain is the linear tree); ground truth for
-    ``tests/test_multi_fragment_equivalence.py``.
-    """
-    return reconstruct_tree_distribution_reference(
-        data, bases=bases, postprocess=postprocess
-    )
-
-
-def reconstruct_distribution(
-    data: FragmentData,
-    bases: Sequence[Sequence[str]] | None = None,
-    postprocess: str = "clip",
-) -> np.ndarray:
-    """Full output distribution of the uncut circuit (little-endian).
-
-    This is the paper's main reconstruction: both fragment tensors are built
-    and contracted with a single matrix product, then the joint is permuted
-    back into the original register order.
-    """
-    A, rows_a = build_upstream_tensor(data, bases)
-    B, rows_b = build_downstream_tensor(data, bases)
-    if rows_a != rows_b:
-        raise ReconstructionError("fragment tensors disagree on basis rows")
-    K = data.pair.num_cuts
-    joint = (A.T @ B) / float(1 << K)  # (2^{n1_out}, 2^{n2})
-    # combined little-endian vector over (up outputs, down outputs)
-    v = joint.ravel(order="F")
-    perm = data.pair.output_order()
-    full = permute_probability_axes(v, perm)
-    return _postprocess(full, postprocess)
-
-
-def reconstruct_expectation(
-    data: FragmentData,
-    diag_up: np.ndarray,
-    diag_down: np.ndarray,
-    bases: Sequence[Sequence[str]] | None = None,
-) -> float:
-    """Expectation of a separable diagonal observable (paper Eq. 14).
-
-    ``diag_up`` / ``diag_down`` are the observable factors over the upstream
-    and downstream *output* qubits (little-endian in
-    ``pair.up_out_original`` / ``pair.down_out_original`` order), e.g. from
-    :func:`repro.observables.decompose.split_diagonal_observable`.
-    """
-    A, rows_a = build_upstream_tensor(data, bases)
-    B, rows_b = build_downstream_tensor(data, bases)
-    if rows_a != rows_b:
-        raise ReconstructionError("fragment tensors disagree on basis rows")
-    diag_up = np.asarray(diag_up, dtype=np.float64)
-    diag_down = np.asarray(diag_down, dtype=np.float64)
-    if diag_up.shape != (A.shape[1],) or diag_down.shape != (B.shape[1],):
-        raise ReconstructionError("observable factor shapes mismatch fragments")
-    K = data.pair.num_cuts
-    a = A @ diag_up
-    b = B @ diag_down
-    return float(np.dot(a, b) / (1 << K))
 
 
 def reconstruct_counts(
@@ -1247,44 +767,28 @@ def reconstruct_counts(
     """Reconstruction rendered as a counts dictionary.
 
     A convenience for downstream code written against backend ``counts``
-    interfaces.  ``data`` may be pair :class:`FragmentData` or tree/chain
-    :class:`~repro.cutting.execution.TreeFragmentData` (the latter accepts
-    the ``prune=``/``dtype=`` knobs of
-    :func:`reconstruct_tree_distribution`).  With ``seed=None`` (default)
-    the distribution is scaled to ``shots`` and rounded — deterministic,
-    no RNG is created or consumed, exactly the historical dense behaviour.
-    Passing a seed draws one multinomial sample instead; on a pruned
-    reconstruction the draw runs over the kept outcomes only, so the
-    dense ``2^n`` vector is never materialised.
+    interfaces; ``data``, ``bases``, ``prune=``, ``dtype=`` and ``plan=``
+    are those of :func:`reconstruct_tree_distribution`.  With
+    ``seed=None`` (default) the distribution is scaled to ``shots`` and
+    rounded — deterministic, no RNG is created or consumed.  Passing a
+    seed draws one multinomial sample instead; on a pruned reconstruction
+    the draw runs over the kept outcomes only, so the dense ``2^n`` vector
+    is never materialised.
     """
     from repro.sim.sampler import probs_to_counts, sample_counts
 
-    if isinstance(data, TreeFragmentData):
-        probs = reconstruct_tree_distribution(
-            data,
-            bases=bases,
-            postprocess=postprocess,
-            prune=prune,
-            dtype=dtype,
-            plan=plan,
-        )
-        if isinstance(probs, SparseDistribution):
-            if seed is None:
-                return probs.to_counts(shots)
-            return probs.sample_counts(shots, seed)
-    else:
-        if prune is not None:
-            raise ReconstructionError(
-                "prune= needs tree/chain fragment data; pair data is dense"
-            )
-        if plan is not None:
-            raise ReconstructionError(
-                "plan= needs tree/chain fragment data; pair data has no "
-                "fragment network"
-            )
-        probs = reconstruct_distribution(
-            data, bases=bases, postprocess=postprocess
-        )
+    probs = reconstruct_tree_distribution(
+        data,
+        bases=bases,
+        postprocess=postprocess,
+        prune=prune,
+        dtype=dtype,
+        plan=plan,
+    )
+    if isinstance(probs, SparseDistribution):
+        if seed is None:
+            return probs.to_counts(shots)
+        return probs.sample_counts(shots, seed)
     n = int(np.log2(probs.size))
     if seed is None:
         return probs_to_counts(probs, shots, n)

@@ -6,171 +6,50 @@ through tensor contraction".  This module supplies that analysis for the
 reconstruction itself: a first-order (delta-method) variance estimate of
 every reconstructed probability.
 
-Model.  The estimator is ``p̂(b₁,b₂) = 2^{-K} Σ_M Â[M,b₁] B̂[M,b₂]`` where
-Â rows are eigenvalue-weighted multinomial estimates and B̂ rows are signed
-sums over *independent* preparation runs.  For one multinomial sample of
-size N, a signed sum ``Δ̂ = Σ_r c_r p̂_r`` with ``c_r ∈ {−1,0,+1}`` has
+Model.  The estimator contracts ``N`` independent fragment tensors (each
+fragment's variants are separate device runs; the paper's single cut is
+``N = 2``).  A reduced-tensor entry is a signed sum of multinomial
+estimates: for one multinomial sample of size ``S``, a signed sum
+``Δ̂ = Σ_r c_r p̂_r`` with ``c_r ∈ {−1,0,+1}`` has
 
-    Var(Δ̂) = (Σ_r c_r² p_r − (Σ_r c_r p_r)²) / N.
+    Var(Δ̂) = (Σ_r c_r² p_r − (Σ_r c_r p_r)²) / S,
 
-Treating Â and B̂ as independent (they come from different devices runs)
-and ignoring covariance *between basis rows* (rows share settings, so this
-is a heuristic — benchmarked against empirical variance in the test suite,
-where it tracks within a small factor):
+and variances add across the independent preparation-eigenstate runs a
+row consumes.  Ignoring covariance *between basis rows* (rows share
+settings, so this is a heuristic — benchmarked against empirical variance
+in the test suite, where it tracks within a small factor) and the
+higher-order Var·Var cross terms, the delta method gives, per basis-row
+combination,
 
-    Var(p̂) ≈ 4^{-K} Σ_M [ Â² Var(B̂) + B̂² Var(Â) + Var(Â) Var(B̂) ].
+    Var(Π_i T_i) ≈ Σ_i (Π_{j≠i} T_j²) · Var(T_i),
 
-Golden cuts drop rows and therefore variance terms — one quantitative
-reason the method costs no accuracy at equal per-variant shots.
+and the substituted products are contracted along the same network path
+as the reconstruction itself.  Golden cuts drop rows and therefore
+variance terms — one quantitative reason the method costs no accuracy at
+equal per-variant shots.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.cutting.execution import FragmentData
 from repro.cutting.reconstruction import (
-    _basis_rows,
     _chain_row_runs,
     _chain_rows,
     _contract_network,
-    _contract_tree,
-    _normalise_bases,
     _resolve_plan,
-    _signs_for,
     _tree_of,
     build_tree_fragment_tensor,
 )
-from repro.exceptions import ReconstructionError
 from repro.utils.bits import permute_probability_axes
 
 __all__ = [
     "chain_predicted_stddev_tv",
     "chain_reconstruction_variance",
-    "predicted_stddev_tv",
-    "reconstruction_variance",
     "tree_predicted_stddev_tv",
     "tree_reconstruction_variance",
     "tree_tv_bound",
 ]
-
-_PREP_OF = {
-    "I": ("Z+", "Z-"),
-    "Z": ("Z+", "Z-"),
-    "X": ("X+", "X-"),
-    "Y": ("Y+", "Y-"),
-}
-
-
-def _upstream_row_stats(
-    data: FragmentData, rows: list[tuple[str, ...]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Means and variances of Â rows: each shape (R, 2^{n1_out})."""
-    K = data.pair.num_cuts
-    N = max(data.shots_per_variant, 1)
-    settings = data.upstream_settings()
-    pools = [sorted({s[k] for s in settings}) for k in range(K)]
-    fallback = ["Z" if "Z" in p else p[0] for p in pools]
-    means, variances = [], []
-    for row in rows:
-        setting = tuple(
-            m if m != "I" else fallback[k] for k, m in enumerate(row)
-        )
-        A = data.upstream.get(setting)
-        if A is None:
-            raise ReconstructionError(f"missing upstream setting {setting}")
-        mask = sum(1 << k for k, m in enumerate(row) if m != "I")
-        signs = _signs_for(mask, K)
-        mean = A @ signs
-        # Var = (Σ c² p − (Σ c p)²)/N with c = signs (all ±1 here)
-        var = (A.sum(axis=1) - mean**2) / N
-        means.append(mean)
-        variances.append(np.clip(var, 0.0, None))
-    return np.array(means), np.array(variances)
-
-
-def _downstream_row_stats(
-    data: FragmentData, rows: list[tuple[str, ...]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Means and variances of B̂ rows: each shape (R, 2^{n2})."""
-    K = data.pair.num_cuts
-    N = max(data.shots_per_variant, 1)
-    n_down = data.pair.n_down
-    means = np.zeros((len(rows), 1 << n_down))
-    variances = np.zeros_like(means)
-    for i, row in enumerate(rows):
-        for s in range(1 << K):
-            init = tuple(_PREP_OF[m][(s >> k) & 1] for k, m in enumerate(row))
-            vec = data.downstream.get(init)
-            if vec is None:
-                raise ReconstructionError(f"missing downstream init {init}")
-            mask = sum(1 << k for k, m in enumerate(row) if m != "I")
-            sign = 1.0 - 2.0 * (bin(s & mask).count("1") & 1)
-            means[i] += sign * vec
-            # independent run: Var(±p̂) = p(1−p)/N
-            variances[i] += vec * (1.0 - vec) / N
-    return means, variances
-
-
-def reconstruction_variance(
-    data: FragmentData,
-    bases: Sequence[Sequence[str]] | None = None,
-) -> np.ndarray:
-    """Per-bitstring variance estimate of the reconstructed distribution.
-
-    Returns a vector aligned with
-    :func:`repro.cutting.reconstruction.reconstruct_distribution` output
-    (little-endian over the full register).  Exact data (``shots=0``)
-    yields zeros.
-    """
-    if data.shots_per_variant <= 0:
-        n = len(data.pair.output_order())
-        return np.zeros(1 << n)
-    K = data.pair.num_cuts
-    bases = _normalise_bases(bases, K)
-    rows = _basis_rows(bases)
-    A, var_a = _upstream_row_stats(data, rows)
-    B, var_b = _downstream_row_stats(data, rows)
-    # Var(XY) for independent X,Y: x²Var(Y) + y²Var(X) + Var(X)Var(Y);
-    # rows summed as if independent (documented approximation).
-    var_joint = (
-        np.einsum("ri,rj->ij", A**2, var_b)
-        + np.einsum("ri,rj->ij", var_a, B**2)
-        + np.einsum("ri,rj->ij", var_a, var_b)
-    ) / float(4**K)
-    v = var_joint.ravel(order="F")
-    return permute_probability_axes(v, data.pair.output_order())
-
-
-def predicted_stddev_tv(
-    data: FragmentData, bases: Sequence[Sequence[str]] | None = None
-) -> float:
-    """Predicted E[TV error] proxy: ``½ Σ_b σ(b)`` under the variance model.
-
-    A half-normal first moment would multiply by √(2/π); we keep the plain
-    half-sum as a conservative scalar summary for shot-budget planning.
-    """
-    var = reconstruction_variance(data, bases)
-    return float(0.5 * np.sqrt(np.clip(var, 0, None)).sum())
-
-
-# ---------------------------------------------------------------------------
-# Tree variance (chains are the one-child case).  The estimator is a product
-# of N independent fragment tensors, so the first-order delta method gives,
-# per basis-row combination,
-#
-#     Var(Π_i T_i) ≈ Σ_i (Π_{j≠i} T_j²) · Var(T_i)
-#
-# (higher-order Var·Var cross terms are dropped; the pair version keeps its
-# single cross term, so the two models agree to first order on N = 2).  Per
-# fragment and row, the variance follows the same multinomial/signed-sum
-# rules as the pair stats: one independent run per (init, setting) record,
-# ``Var = (Σ c² p − mean²)/N`` within a run, variances adding across the
-# ``2^{K_prev}`` preparation eigenstate runs a row consumes.  The
-# substituted products are contracted with the same leaves-to-root kernel
-# as the reconstruction itself.
 
 
 def _tree_row_stats(data, index: int, bases=None):
@@ -182,7 +61,7 @@ def _tree_row_stats(data, index: int, bases=None):
     consumes exactly the runs the reconstruction does.  Per independent run
     the multinomial signed-sum rule gives ``Var = (Σ c² p − mean²)/N``;
     entering-side signs square away and run variances add.  Both returned
-    arrays carry one row axis per child group, ready for the tree
+    arrays carry one row axis per child group, ready for the network
     contraction.
     """
     frag, records, _, _, rows_prev, rows_next, fallback = _chain_rows(
@@ -199,17 +78,13 @@ def _tree_row_stats(data, index: int, bases=None):
     return means, flat.reshape(means.shape)
 
 
-#: chains are linear trees; the historical name remains for its importers
-_chain_row_stats = _tree_row_stats
-
-
 def tree_reconstruction_variance(data, bases=None) -> np.ndarray:
     """Per-bitstring variance estimate of a tree reconstruction.
 
     Aligned with :func:`repro.cutting.reconstruction.reconstruct_tree_distribution`
     output; exact data (``shots=0``) yields zeros.  For each fragment the
-    tree is re-contracted with that fragment's variance tensor substituted
-    and every other tensor squared (first-order delta method).
+    network is re-contracted with that fragment's variance tensor
+    substituted and every other tensor squared (first-order delta method).
     """
     tree = _tree_of(data)
     n_total = len(tree.output_order())
@@ -226,16 +101,17 @@ def tree_reconstruction_variance(data, bases=None) -> np.ndarray:
             stats[i][1] if i == v else np.square(stats[i][0])
             for i in range(tree.num_fragments)
         ]
-        if plan is None:
-            vec, order = _contract_tree(tensors, tree)
-        else:
-            vec, order = _contract_network(tensors, tree, plan, bases)
+        vec, order = _contract_network(tensors, tree, plan, bases)
         total += permute_probability_axes(vec, order)
     return scale * total
 
 
 def tree_predicted_stddev_tv(data, bases=None) -> float:
-    """Tree analogue of :func:`predicted_stddev_tv`."""
+    """Predicted E[TV error] proxy: ``½ Σ_b σ(b)`` under the variance model.
+
+    A half-normal first moment would multiply by √(2/π); we keep the plain
+    half-sum as a conservative scalar summary for shot-budget planning.
+    """
     var = tree_reconstruction_variance(data, bases)
     return float(0.5 * np.sqrt(np.clip(var, 0, None)).sum())
 

@@ -23,7 +23,6 @@ from typing import Sequence
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.circuits.instruction import Instruction
-from repro.cutting.fragments import FragmentPair
 from repro.exceptions import CutError
 
 
@@ -34,7 +33,7 @@ def _fence(num_qubits: int) -> Instruction:
     pipeline keeps them as optimisation fences, so the physical circuit of
     any variant is exactly ``transpile(body)`` plus the lowered variant
     gates.  That factorisation is what
-    :class:`repro.cutting.noisy_cache.NoisyFragmentSimCache` relies on to
+    :class:`repro.cutting.noisy_cache.NoisyTreeFragmentSimCache` relies on to
     serve every noisy variant from one transpiled, once-evolved body — and
     it also mirrors hardware reality: tomography rotations and preparation
     pulses are separately calibrated operations, not part of the body's
@@ -47,8 +46,6 @@ __all__ = [
     "PREPARATION_STATES",
     "upstream_setting_tuples",
     "downstream_init_tuples",
-    "upstream_variant",
-    "downstream_variant",
     "chain_variant",
     "chain_variant_tuples",
     "tree_variant",
@@ -131,31 +128,6 @@ def downstream_init_tuples(
     return list(itertools.product(*pools))
 
 
-def upstream_variant(pair: FragmentPair, setting: Sequence[str]) -> Circuit:
-    """Upstream fragment with basis-change gates for one setting tuple.
-
-    The returned circuit is measured on *all* its qubits by the backend;
-    cut-qubit bits then resolve the tomography outcome, remaining bits the
-    fragment's output (split by :mod:`repro.cutting.execution`).
-    """
-    if len(setting) != pair.num_cuts:
-        raise CutError("setting tuple length != number of cuts")
-    qc = pair.upstream.copy()
-    qc.name = f"{pair.upstream.name}[{','.join(setting)}]"
-    qc.append(_fence(pair.n_up))
-    for k, basis in enumerate(setting):
-        q = pair.up_cut_local[k]
-        if basis == "X":
-            qc.h(q)
-        elif basis == "Y":
-            qc.sdg(q).h(q)
-        elif basis == "Z":
-            pass
-        else:
-            raise CutError(f"invalid measurement basis {basis!r}")
-    return qc
-
-
 def tree_variant_tuples(
     tree,
     index: int,
@@ -193,10 +165,8 @@ def tree_variant(
 
     Structure: preparation gates on the entering cut wires, a fence, the
     fragment body, a fence, basis-change gates on the exiting cut wires (in
-    the node's flat cut order, spanning every child group) — the
-    superposition of :func:`downstream_variant` and
-    :func:`upstream_variant` (either side collapses away at the root /
-    leaves).  The fences keep the body a standalone transpile unit, which
+    the node's flat cut order, spanning every child group); either side
+    collapses away at the root / leaves.  The fences keep the body a standalone transpile unit, which
     is what lets the noisy tree cache serve every combined variant from one
     transpiled body.
     """
@@ -236,22 +206,3 @@ def tree_variant(
 #: tree implementation.
 chain_variant = tree_variant
 chain_variant_tuples = tree_variant_tuples
-
-
-def downstream_variant(pair: FragmentPair, inits: Sequence[str]) -> Circuit:
-    """Downstream fragment prefixed with preparation gates for one tuple."""
-    if len(inits) != pair.num_cuts:
-        raise CutError("init tuple length != number of cuts")
-    qc = Circuit(pair.n_down, name=f"{pair.downstream.name}[{','.join(inits)}]")
-    for k, code in enumerate(inits):
-        try:
-            gates = PREPARATION_STATES[code]
-        except KeyError:
-            raise CutError(f"invalid preparation code {code!r}") from None
-        q = pair.down_cut_local[k]
-        for g in gates:
-            qc.add_gate(g, (q,))
-    qc.append(_fence(pair.n_down))
-    for inst in pair.downstream:
-        qc.append(inst)
-    return qc

@@ -5,8 +5,8 @@ The paper derives — but does not measure — the scaling
 circuit evaluations for ``K = K_r + K_g`` cuts.  This experiment measures
 it: for each ``K`` and each number of golden cuts ``K_g``, build a circuit
 whose cuts are all golden by construction, mark only ``K_g`` of them, and
-record predicted counts plus the measured reconstruction wall time on exact
-fragment data.
+record the counted reconstruction rows and fragment variants plus the
+measured reconstruction wall time on exact fragment data.
 """
 
 from __future__ import annotations
@@ -15,16 +15,11 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.random import random_circuit, random_real_circuit
-from repro.core.costs import cost_report
-from repro.core.neglect import (
-    reduced_bases,
-    reduced_init_tuples,
-    reduced_setting_tuples,
-)
+from repro.core.neglect import tree_reduced_variants
 from repro.cutting.cut import CutPoint, CutSpec
-from repro.cutting.execution import exact_fragment_data
-from repro.cutting.fragments import bipartition
-from repro.cutting.reconstruction import reconstruct_distribution
+from repro.cutting.execution import exact_tree_data
+from repro.cutting.reconstruction import reconstruct_tree_distribution
+from repro.cutting.tree import partition_tree
 from repro.utils.rng import as_generator
 from repro.utils.timing import Stopwatch
 
@@ -600,30 +595,37 @@ def golden_chain_circuit(
 
 
 def run_scaling(max_cuts: int = 3, depth: int = 2, seed: int = 777, repeats: int = 3) -> list[dict]:
-    """Measure terms/variants/reconstruction-time across (K, K_g) grid."""
+    """Measure terms/variants/reconstruction-time across (K, K_g) grid.
+
+    Each ``K``-cut circuit runs as the 2-node fragment tree on exact data.
+    ``rows(4^Kr*3^Kg)`` counts the basis rows of the cut group's
+    reconstruction pools, ``upstream``/``downstream`` the variants of the
+    measuring and the preparing fragment — all read off the variant plan
+    the reconstruction actually consumes.
+    """
     rows: list[dict] = []
     for K in range(1, max_cuts + 1):
         qc, spec = multi_cut_golden_circuit(K, depth=depth, seed=seed + K)
-        pair = bipartition(qc, spec)
+        tree = partition_tree(qc, [spec])
         for kg in range(K + 1):
             golden = {k: "Y" for k in range(kg)}
-            report = cost_report(K, golden or None, shots_per_variant=1000)
-            settings = reduced_setting_tuples(K, golden) if golden else None
-            inits = reduced_init_tuples(K, golden) if golden else None
-            bases = reduced_bases(K, golden) if golden else None
-            data = exact_fragment_data(pair, settings=settings, inits=inits)
+            bases, variants = tree_reduced_variants(tree, [golden or None])
+            data = exact_tree_data(tree, variants=variants)
             sw = Stopwatch()
             for _ in range(repeats):
                 with sw:
-                    reconstruct_distribution(data, bases=bases, postprocess="raw")
+                    reconstruct_tree_distribution(
+                        data, bases=bases, postprocess="raw"
+                    )
+            up, down = (len(v) for v in variants)
             rows.append(
                 {
                     "K": K,
                     "K_golden": kg,
-                    "rows(4^Kr*3^Kg)": report.reconstruction_rows,
-                    "upstream": report.upstream_settings,
-                    "downstream": report.downstream_inits,
-                    "variants": report.num_variants,
+                    "rows(4^Kr*3^Kg)": int(np.prod([len(p) for p in bases[0]])),
+                    "upstream": up,
+                    "downstream": down,
+                    "variants": up + down,
                     "reconstruct_ms": 1e3 * sw.elapsed / repeats,
                 }
             )

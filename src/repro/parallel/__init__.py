@@ -13,7 +13,6 @@ Three layers, each usable alone:
 from repro.parallel.executor import (
     parallel_map,
     run_chain_fragments_parallel,
-    run_fragments_parallel,
     run_tree_fragments_parallel,
 )
 from repro.parallel.pool import (
@@ -31,7 +30,6 @@ __all__ = [
     "parallel_map",
     "resolve_start_method",
     "run_chain_fragments_parallel",
-    "run_fragments_parallel",
     "run_tree_fragments_parallel",
     "run_tree_tasks_process",
 ]

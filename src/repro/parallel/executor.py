@@ -14,26 +14,18 @@ Two structural optimisations over a naive per-task fan-out:
   ``backend_factory`` and reuses it for every task it picks up (backends
   keep a mutable virtual clock, so they cannot be shared *across* threads;
   the per-worker clocks are summed into the device-time ledger);
-* **shared simulation cache** — when the backend builds one
-  (:meth:`~repro.backends.base.Backend.make_variant_cache`), a single
-  per-pair cache — :class:`~repro.cutting.cache.FragmentSimCache` for the
-  ideal backend, :class:`~repro.cutting.noisy_cache.NoisyFragmentSimCache`
-  for fake hardware — is warmed up front, so workers only draw samples
-  from cached exact distributions instead of re-transpiling and
-  re-simulating the fragment body per variant.
+* **shared simulation cache** — the probe backend builds one
+  :class:`~repro.cutting.cache.TreeCachePool` (one per-fragment cache per
+  node of the tree, chain or 2-node pair — via
+  :meth:`~repro.backends.base.Backend.make_tree_cache_pool`), warms every
+  fragment's variants up front (batching each node's distinct measurement
+  settings into one stacked rotation pass on the ideal path), and the pool
+  is then shared **read-only** across all worker threads; each worker
+  samples any (fragment, variant) task straight from the warmed
+  distributions, so fragment bodies are transpiled/simulated exactly once
+  however many workers run.
 
-Fragment trees — chains included — fan out the same way
-(:func:`run_tree_fragments_parallel` /
-:func:`run_chain_fragments_parallel`): the probe backend builds one
-:class:`~repro.cutting.cache.TreeCachePool` — one per-fragment cache per
-tree node — warms every fragment's variants up front (batching each
-node's distinct measurement settings into one stacked rotation pass on
-the ideal path), and the pool is then shared **read-only** across all
-worker threads; each worker samples any (fragment, variant) task straight
-from the warmed distributions, so fragment bodies are
-transpiled/simulated exactly once however many workers run.
-
-``mode="process"`` (tree/chain executors) swaps the thread pool for a
+``mode="process"`` swaps the thread pool for a
 fork-server/spawn-safe process pool (:mod:`repro.parallel.pool`): the
 parent warms the cache pool once, exports each cache's numeric banks into
 shared memory, and every worker process rebuilds real cache instances
@@ -66,16 +58,9 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.cutting.execution import (
-    FragmentData,
     TreeFragmentData,
     _split_joint_probs,
-    _split_upstream_probs,
     _tree_variant_lists,
-)
-from repro.cutting.fragments import FragmentPair
-from repro.cutting.variants import (
-    downstream_init_tuples,
-    upstream_setting_tuples,
 )
 from repro.utils.rng import spawn_rngs, spawn_seed_sequences
 
@@ -85,7 +70,6 @@ U = TypeVar("U")
 __all__ = [
     "parallel_map",
     "run_chain_fragments_parallel",
-    "run_fragments_parallel",
     "run_tree_fragments_parallel",
 ]
 
@@ -133,7 +117,7 @@ def _fan_out(
     max_workers: int | None,
     mode: str,
 ) -> tuple[list, float, int]:
-    """Shared worker scaffolding of both parallel executors.
+    """Worker scaffolding of the parallel executor.
 
     Each pool thread lazily builds one backend from ``backend_factory`` and
     reuses it for every task it picks up; ``run_task(backend, task,
@@ -168,87 +152,6 @@ def _fan_out(
         job, list(zip(tasks, rngs)), max_workers=max_workers, mode=mode
     )
     return results, sum(b.clock.now for b in backends), len(backends)
-
-
-def run_fragments_parallel(
-    pair: FragmentPair,
-    backend_factory: Callable[[], Backend],
-    shots: int,
-    settings: Sequence[tuple[str, ...]] | None = None,
-    inits: Sequence[tuple[str, ...]] | None = None,
-    seed: "int | np.random.Generator | None" = None,
-    max_workers: int | None = None,
-    mode: str = "thread",
-) -> FragmentData:
-    """Threaded equivalent of :func:`repro.cutting.execution.run_fragments`.
-
-    ``backend_factory`` builds one backend per *worker thread* (not per
-    task); the modelled seconds accumulated by all worker clocks are summed,
-    preserving the device-time ledger.  Results are independent of worker
-    count and of ``mode`` because every variant's RNG stream is derived from
-    its index.
-    """
-    if mode == "process":
-        raise ValueError(
-            "mode='process' is implemented for the tree executors "
-            "(run_tree_fragments_parallel / run_chain_fragments_parallel); "
-            "the legacy pair path stays serial/thread"
-        )
-    if settings is None:
-        settings = upstream_setting_tuples(pair.num_cuts)
-    if inits is None:
-        inits = downstream_init_tuples(pair.num_cuts)
-    settings = [tuple(s) for s in settings]
-    inits = [tuple(i) for i in inits]
-    variants = [("up", s) for s in settings] + [("down", i) for i in inits]
-
-    probe = backend_factory()
-    # Warm every entry eagerly: afterwards the cache is read-only, so
-    # worker threads can share it without locking.  The probe decides the
-    # cache flavour (ideal → FragmentSimCache, noisy → the per-device
-    # NoisyFragmentSimCache); worker backends built by the same factory
-    # consume it as an equivalent device's cache.
-    cache = probe.make_variant_cache(pair)
-    if cache is not None:
-        cache.warm(settings, inits)
-
-    def run_task(backend, task, rng):
-        kind, label = task
-        up = [label] if kind == "up" else []
-        down = [label] if kind == "down" else []
-        return backend.run_variants(
-            pair, up, down, shots=shots, seed=rng, cache=cache
-        )[0]
-
-    results, seconds, num_backends = _fan_out(
-        backend_factory,
-        probe,
-        variants,
-        run_task,
-        spawn_rngs(seed, len(variants)),
-        max_workers,
-        mode,
-    )
-    upstream = {
-        s: _split_upstream_probs(res.probabilities(), pair)
-        for s, res in zip(settings, results[: len(settings)])
-    }
-    downstream = {
-        i: res.probabilities() for i, res in zip(inits, results[len(settings) :])
-    }
-    return FragmentData(
-        pair=pair,
-        upstream=upstream,
-        downstream=downstream,
-        shots_per_variant=shots,
-        modeled_seconds=seconds,
-        metadata={
-            "parallel": True,
-            "num_variants": len(variants),
-            "num_worker_backends": num_backends,
-            "cached": cache is not None,
-        },
-    )
 
 
 def run_tree_fragments_parallel(

@@ -92,8 +92,8 @@ def evolve_noisy_tensor(
     :meth:`~repro.noise.model.NoiseModel.channels_for` protocol.  Extra
     trailing axes of ``tensor`` are batch dimensions, so a whole bank of
     initial states can share one noisy evolution — the engine behind
-    :class:`repro.cutting.noisy_cache.NoisyFragmentSimCache`'s ``4^K``
-    cut-basis response columns.
+    :class:`repro.cutting.noisy_cache.NoisyTreeFragmentSimCache`'s
+    ``4^{K_in}`` cut-basis response columns.
     """
     n = num_qubits
     for inst in circuit:

@@ -45,7 +45,8 @@ def apply_circuit_to_tensor(
 
     Axes beyond the circuit's qubits are batch dimensions: a tensor of shape
     ``(2,)*n + (B,)`` simulates ``B`` initial states at once (the downstream
-    preparation-basis bank of :class:`repro.cutting.cache.FragmentSimCache`).
+    preparation-basis bank of
+    :class:`repro.cutting.cache.TreeFragmentSimCache`).
 
     With ``fuse=True`` consecutive single-qubit gates on the same wire are
     multiplied into one 2×2 matrix before being applied; single-qubit gates

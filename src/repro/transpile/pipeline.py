@@ -16,7 +16,7 @@ fences: no merging or cancellation crosses one.  Fragment variant circuits
 exploit this — the tomography rotations / preparation gates are fenced off
 from the fragment body, so one transpiled body is shared verbatim by every
 variant (the invariant behind
-:class:`repro.cutting.noisy_cache.NoisyFragmentSimCache`).
+:class:`repro.cutting.noisy_cache.NoisyTreeFragmentSimCache`).
 """
 
 from __future__ import annotations

@@ -56,3 +56,61 @@ def two_block_circuit(
         boundary = max(i for i in range(n_up) if w in qc[i].qubits)
         cuts.append(CutPoint(w, boundary))
     return qc, CutSpec(tuple(cuts))
+
+
+def pair_tree(qc, spec):
+    """The 2-node fragment tree of one cut spec (the paper's bipartition)."""
+    from repro.cutting import partition_tree
+
+    return partition_tree(qc, [spec])
+
+
+def exact_pair_probs(qc, spec, golden=None, **kwargs):
+    """Raw exact reconstruction of ``qc`` cut once by ``spec``.
+
+    ``golden`` (a golden map for the single cut group) runs the reduced
+    variant plan and reconstructs from the reduced basis pools.
+    """
+    from repro.core.neglect import tree_reduced_variants
+    from repro.cutting import exact_tree_data, reconstruct_tree_distribution
+
+    tree = pair_tree(qc, spec)
+    bases = variants = None
+    if golden:
+        bases, variants = tree_reduced_variants(tree, [golden])
+    return reconstruct_tree_distribution(
+        exact_tree_data(tree, variants=variants),
+        bases=bases,
+        postprocess="raw",
+        **kwargs,
+    )
+
+
+def root_pilot_data(tree, shots=0, backend=None, seed=0, settings=None):
+    """Records of the measuring root only (the rest is skipped).
+
+    Exact when ``shots == 0``; otherwise sampled on ``backend``.  This is
+    the data the golden finder and the detector read for the root's
+    child groups.
+    """
+    from repro.cutting import exact_tree_data, run_tree_fragments
+    from repro.cutting.variants import upstream_setting_tuples
+
+    K = tree.fragments[0].num_meas
+    if settings is None:
+        settings = upstream_setting_tuples(K)
+    variants = [[((), tuple(s)) for s in settings]]
+    variants += [None] * (tree.num_fragments - 1)
+    if shots:
+        return run_tree_fragments(
+            tree, backend, shots=shots, variants=variants, seed=seed
+        )
+    return exact_tree_data(tree, variants=variants)
+
+
+def root_golden_bases(tree) -> dict:
+    """Analytically golden bases per cut of the root's first cut group."""
+    from repro.core.golden import find_tree_golden_bases_analytic
+
+    found, _ = find_tree_golden_bases_analytic(tree)
+    return found[0]

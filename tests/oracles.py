@@ -1,0 +1,121 @@
+"""Brute-force reconstruction oracles (the semantics the fast kernels match).
+
+One Python iteration per basis row and per preparation eigenstate, straight
+from the paper's Eq. 13 applied to both sides of a fragment, and one
+iteration per element of the *full* basis-row product across all cut
+groups for the whole reconstruction — the cost the network contraction
+avoids.  The record resolution (``I``-fallback, eigenstate expansion,
+signs) is the library's own :func:`~repro.cutting.reconstruction._chain_row_runs`
+iterator, which the variance model shares, so oracle, kernel and variance
+model agree on which variant serves which row.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from repro.cutting.reconstruction import (
+    _chain_row_runs,
+    _chain_rows,
+    _normalise_chain_bases,
+    _postprocess,
+)
+from repro.utils.bits import permute_probability_axes
+
+__all__ = [
+    "build_chain_fragment_tensor_reference",
+    "build_tree_fragment_tensor_reference",
+    "reconstruct_chain_distribution_reference",
+    "reconstruct_tree_distribution_reference",
+]
+
+
+def build_chain_fragment_tensor_reference(data, index: int, bases=None):
+    """Row-by-row flat fragment tensor: ``(R_prev, R_next, 2^{n_out})``.
+
+    Reference semantics for
+    :func:`repro.cutting.reconstruction.build_chain_fragment_tensor`.
+    """
+    frag, records, _, _, rows_prev, rows_next, fallback = _chain_rows(
+        data, index, bases
+    )
+    out = np.zeros((len(rows_prev), len(rows_next), 1 << frag.n_out))
+    for a, b, sign, signs_n, A in _chain_row_runs(
+        index, frag, records, rows_prev, rows_next, fallback
+    ):
+        out[a, b] += sign * (A @ signs_n)
+    return out, rows_prev, rows_next
+
+
+def build_tree_fragment_tensor_reference(data, index: int, bases=None):
+    """Row-by-row tree node tensor with one row axis per child group.
+
+    The flat reference above with its exiting row axis split into
+    per-group axes (an exact C-order reshape, no arithmetic).  Reference
+    semantics for :func:`repro.cutting.reconstruction.build_tree_fragment_tensor`.
+    """
+    tree = data.tree
+    frag = tree.fragments[index]
+    T, rows_prev, _ = build_chain_fragment_tensor_reference(data, index, bases)
+    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
+    rows_per_group = [
+        list(itertools.product(*group_bases[h])) for h in frag.meas_groups
+    ]
+    shape = (
+        (len(rows_prev),)
+        + tuple(len(r) for r in rows_per_group)
+        + (1 << frag.n_out,)
+    )
+    return T.reshape(shape), rows_prev, rows_per_group
+
+
+def reconstruct_tree_distribution_reference(
+    data, bases=None, postprocess: str = "raw"
+) -> np.ndarray:
+    """Brute-force tree/DAG reconstruction over the full basis-row product.
+
+    Each term is an outer product of per-node reduced-row vectors, every
+    node indexed by its entering groups' rows and each child group's row.
+    """
+    tree = data.tree
+    tensors = []
+    group_rows: list = [None] * tree.num_groups
+    for i in range(tree.num_fragments):
+        frag = tree.fragments[i]
+        T, _, rows_per_group = build_tree_fragment_tensor_reference(
+            data, i, bases
+        )
+        tensors.append(T)
+        for h, rows in zip(frag.meas_groups, rows_per_group):
+            group_rows[h] = rows
+
+    n_total = len(tree.output_order())
+    joint = np.zeros(1 << n_total)
+    for combo in itertools.product(*[range(len(r)) for r in group_rows]):
+        vec = None
+        for i in range(tree.num_fragments):
+            frag = tree.fragments[i]
+            # flat entering row: C-order product over the entering groups
+            # (later groups fastest), matching the flat pool concatenation
+            a = 0
+            for h in frag.in_groups:
+                a = a * len(group_rows[h]) + combo[h]
+            sel = tuple(combo[h] for h in frag.meas_groups)
+            term = tensors[i][(a,) + sel]
+            # outer product keeps earlier nodes least significant
+            vec = term if vec is None else np.multiply.outer(term, vec).ravel()
+        joint += vec
+    joint /= float(1 << tree.total_cuts)
+    full = permute_probability_axes(joint, tree.output_order())
+    return _postprocess(full, postprocess)
+
+
+def reconstruct_chain_distribution_reference(
+    data, bases=None, postprocess: str = "raw"
+) -> np.ndarray:
+    """Chain alias of :func:`reconstruct_tree_distribution_reference`."""
+    return reconstruct_tree_distribution_reference(
+        data, bases=bases, postprocess=postprocess
+    )

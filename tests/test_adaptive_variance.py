@@ -1,175 +1,71 @@
-"""Tests for sequential detection and the variance model."""
+"""Tests for the reconstruction variance model on the single-cut (2-node) tree."""
 
 import numpy as np
 import pytest
 
 from repro.backends import IdealBackend
 from repro.core import golden_ansatz
-from repro.core.adaptive import merge_fragment_data, sequential_detect
-from repro.cutting import bipartition
-from repro.cutting.execution import exact_fragment_data, run_fragments
-from repro.cutting.reconstruction import reconstruct_distribution
-from repro.cutting.variance import predicted_stddev_tv, reconstruction_variance
-from repro.exceptions import DetectionError
-from repro.sim import simulate_statevector
+from repro.core.neglect import tree_reduced_variants
+from repro.cutting import exact_tree_data, run_tree_fragments
+from repro.cutting.reconstruction import reconstruct_tree_distribution
+from repro.cutting.variance import (
+    tree_predicted_stddev_tv,
+    tree_reconstruction_variance,
+)
 
-from tests.helpers import two_block_circuit
+from tests.helpers import pair_tree
 
 
 @pytest.fixture(scope="module")
-def golden_pair():
+def golden_tree():
     spec = golden_ansatz(5, depth=3, golden_basis="Y", seed=71)
-    return spec, bipartition(spec.circuit, spec.cut_spec)
+    return spec, pair_tree(spec.circuit, spec.cut_spec)
 
 
-@pytest.fixture(scope="module")
-def generic_pair():
-    # seed 307 has strong analytic deviations (> 0.4) in all three bases,
-    # so every candidate is rejected within the first detection stage
-    qc, spec = two_block_circuit(3, [0, 1], [1, 2], depth=6, seed=307)
-    return qc, bipartition(qc, spec)
-
-
-class TestMerge:
-    def test_merge_equals_single_run_statistics(self, golden_pair):
-        _, pair = golden_pair
-        a = run_fragments(pair, IdealBackend(), shots=1000, seed=1)
-        b = run_fragments(pair, IdealBackend(), shots=3000, seed=2)
-        m = merge_fragment_data(a, b)
-        assert m.shots_per_variant == 4000
-        for key in a.upstream:
-            expected = (1000 * a.upstream[key] + 3000 * b.upstream[key]) / 4000
-            np.testing.assert_allclose(m.upstream[key], expected)
-
-    def test_merged_mass_normalised(self, golden_pair):
-        _, pair = golden_pair
-        a = run_fragments(pair, IdealBackend(), shots=500, seed=3)
-        b = run_fragments(pair, IdealBackend(), shots=500, seed=4)
-        m = merge_fragment_data(a, b)
-        for arr in m.upstream.values():
-            assert np.isclose(arr.sum(), 1.0)
-
-    def test_merge_rejects_different_pairs(self, golden_pair, generic_pair):
-        _, pair1 = golden_pair
-        _, pair2 = generic_pair
-        a = run_fragments(pair1, IdealBackend(), shots=100, seed=1)
-        b = run_fragments(pair2, IdealBackend(), shots=100, seed=1)
-        with pytest.raises(DetectionError):
-            merge_fragment_data(a, b)
-
-    def test_merge_rejects_exact_data(self, golden_pair):
-        _, pair = golden_pair
-        a = run_fragments(pair, IdealBackend(), shots=100, seed=1)
-        b = exact_fragment_data(pair)
-        with pytest.raises(DetectionError):
-            merge_fragment_data(a, b)
-
-
-class TestSequentialDetect:
-    def test_finds_golden_bases_matching_analytic_truth(self, golden_pair):
-        """Every accepted basis must be analytically golden, and Y (the
-        designed one) must be among them.  (This seed's draw happens to be
-        X-golden too — the detector should agree with the exact finder.)"""
-        from repro.core import find_golden_bases_analytic
-
-        _, pair = golden_pair
-        res = sequential_detect(pair, IdealBackend(), seed=5)
-        found = res.golden_map()
-        exact = find_golden_bases_analytic(pair)
-        assert "Y" in found.get(0, [])
-        for k, bases in found.items():
-            assert set(bases) <= set(exact[k])
-
-    def test_generic_circuit_stops_early(self, generic_pair):
-        """All candidates rejected in stage 0 -> later stages skipped."""
-        _, pair = generic_pair
-        res = sequential_detect(
-            pair, IdealBackend(), stage_shots=(4000, 16000, 64000), seed=6
-        )
-        assert not res.golden_map()
-        assert len(res.stages) == 1
-        assert res.shots_spent == 4000 * 3  # one stage, three settings
-
-    def test_rejections_happen_in_early_stages(self, golden_pair):
-        _, pair = golden_pair
-        res = sequential_detect(
-            pair, IdealBackend(), stage_shots=(2000, 8000), seed=7
-        )
-        stage0_rejected = res.stages[0].rejected
-        # X and Z are informative for this ansatz: rejected immediately
-        assert ((0, "X") in stage0_rejected) or ((0, "Z") in stage0_rejected)
-
-    def test_budget_accounting(self, golden_pair):
-        _, pair = golden_pair
-        res = sequential_detect(
-            pair, IdealBackend(), stage_shots=(1000, 2000), seed=8
-        )
-        assert res.shots_spent == (1000 + 2000) * 3
-        assert res.data.shots_per_variant == 3000
-
-    def test_invalid_stages(self, golden_pair):
-        _, pair = golden_pair
-        with pytest.raises(DetectionError):
-            sequential_detect(pair, IdealBackend(), stage_shots=())
-        with pytest.raises(DetectionError):
-            sequential_detect(pair, IdealBackend(), stage_shots=(0,))
+def _run(tree, shots, seed, variants=None):
+    return run_tree_fragments(
+        tree, IdealBackend(), shots=shots, variants=variants, seed=seed
+    )
 
 
 class TestVariance:
-    def test_exact_data_zero_variance(self, golden_pair):
-        _, pair = golden_pair
-        var = reconstruction_variance(exact_fragment_data(pair))
+    def test_exact_data_zero_variance(self, golden_tree):
+        _, tree = golden_tree
+        var = tree_reconstruction_variance(exact_tree_data(tree))
         np.testing.assert_allclose(var, 0.0)
 
-    def test_variance_scales_inversely_with_shots(self, golden_pair):
-        _, pair = golden_pair
-        v1 = reconstruction_variance(
-            run_fragments(pair, IdealBackend(), shots=500, seed=9)
-        )
-        v2 = reconstruction_variance(
-            run_fragments(pair, IdealBackend(), shots=50_000, seed=9)
-        )
+    def test_variance_scales_inversely_with_shots(self, golden_tree):
+        _, tree = golden_tree
+        v1 = tree_reconstruction_variance(_run(tree, 500, 9))
+        v2 = tree_reconstruction_variance(_run(tree, 50_000, 9))
         assert v2.sum() < v1.sum() / 10
 
-    def test_prediction_tracks_empirical_variance(self, golden_pair):
+    def test_prediction_tracks_empirical_variance(self, golden_tree):
         """Delta-method prediction within a small factor of truth."""
-        spec, pair = golden_pair
-        shots = 2000
-        trials = 40
+        _, tree = golden_tree
         samples = []
         predictions = []
-        for t in range(trials):
-            data = run_fragments(pair, IdealBackend(), shots=shots, seed=100 + t)
-            samples.append(reconstruct_distribution(data, postprocess="raw"))
+        for t in range(40):
+            data = _run(tree, 2000, 100 + t)
+            samples.append(reconstruct_tree_distribution(data, postprocess="raw"))
             if t < 5:
-                predictions.append(reconstruction_variance(data))
+                predictions.append(tree_reconstruction_variance(data))
         empirical = np.var(np.array(samples), axis=0, ddof=1)
         predicted = np.mean(predictions, axis=0)
         # compare total variance mass: same order of magnitude
         ratio = predicted.sum() / max(empirical.sum(), 1e-12)
         assert 0.3 < ratio < 3.0, ratio
 
-    def test_golden_variance_not_larger(self, golden_pair):
+    def test_golden_variance_not_larger(self, golden_tree):
         """Dropping golden rows cannot inflate the variance estimate."""
-        from repro.core.neglect import (
-            reduced_bases,
-            reduced_init_tuples,
-            reduced_setting_tuples,
-        )
-
-        _, pair = golden_pair
-        golden = {0: "Y"}
-        full = run_fragments(pair, IdealBackend(), shots=5000, seed=11)
-        red = run_fragments(
-            pair, IdealBackend(), shots=5000, seed=11,
-            settings=reduced_setting_tuples(1, golden),
-            inits=reduced_init_tuples(1, golden),
-        )
-        v_full = reconstruction_variance(full).sum()
-        v_red = reconstruction_variance(red, bases=reduced_bases(1, golden)).sum()
+        _, tree = golden_tree
+        bases, variants = tree_reduced_variants(tree, [{0: "Y"}])
+        full = _run(tree, 5000, 11)
+        red = _run(tree, 5000, 11, variants=variants)
+        v_full = tree_reconstruction_variance(full).sum()
+        v_red = tree_reconstruction_variance(red, bases=bases).sum()
         assert v_red <= v_full * 1.05
 
-    def test_predicted_stddev_tv_positive(self, golden_pair):
-        _, pair = golden_pair
-        data = run_fragments(pair, IdealBackend(), shots=1000, seed=12)
-        assert predicted_stddev_tv(data) > 0.0
+    def test_predicted_stddev_tv_positive(self, golden_tree):
+        _, tree = golden_tree
+        assert tree_predicted_stddev_tv(_run(tree, 1000, 12)) > 0.0

@@ -135,23 +135,21 @@ class TestChainDeviation:
         # Z reads the computational eigenstate: maximal information
         assert chain_definition1_deviation(data, 1, 0, "Z") > 0.1
 
-    def test_first_group_matches_pair_notion(self):
+    def test_first_group_matches_single_cut(self):
         """Group 0's fragment has no prep side: the chain deviation equals
-        the pair definition on the same upstream data."""
-        from repro.core.golden import definition1_deviation
-        from repro.cutting import bipartition
-        from repro.cutting.execution import exact_fragment_data
+        the single-cut (2-node tree) deviation on the same measuring root."""
+        from repro.cutting.tree import partition_tree
 
         qc, specs, _ = golden_chain_circuit(3, planted_groups=(), seed=4)
         chain = partition_chain(qc, specs)
         data = _group_pilot_data(chain, 0, [()])
-        pair = bipartition(qc, specs[0])
-        pair_data = exact_fragment_data(pair, inits=[("Z+",)])
+        pair = partition_tree(qc, specs[:1])
+        pair_data = _group_pilot_data(pair, 0, [()])
         for basis in ("X", "Y", "Z"):
             assert chain_definition1_deviation(
                 data, 0, 0, basis
             ) == pytest.approx(
-                definition1_deviation(pair_data, 0, basis), abs=1e-9
+                chain_definition1_deviation(pair_data, 0, 0, basis), abs=1e-9
             )
 
     def test_error_paths(self):

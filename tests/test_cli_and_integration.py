@@ -8,14 +8,12 @@ import pytest
 
 from repro.backends import IdealBackend
 from repro.circuits import Circuit, random_circuit
-from repro.core import cut_and_run, find_golden_bases_analytic
+from repro.core import cut_and_run
 from repro.cutting import bipartition, find_cuts
-from repro.cutting.execution import exact_fragment_data
-from repro.cutting.reconstruction import reconstruct_distribution
 from repro.metrics import total_variation
 from repro.sim import simulate_statevector
 
-from tests.helpers import two_block_circuit
+from tests.helpers import exact_pair_probs, two_block_circuit
 
 
 class TestHarnessCli:
@@ -57,9 +55,7 @@ class TestWideCircuits:
         qc, spec = two_block_circuit(
             10, list(range(6)), list(range(5, 10)), depth=2, seed=3
         )
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
+        p = exact_pair_probs(qc, spec)
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-8)
 

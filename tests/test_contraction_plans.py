@@ -7,9 +7,10 @@ fragment data:
 
 * serialisation round-trips (dict and JSON) and loud validation of
   malformed step sequences;
-* the cost model's FLOP ordering matches *measured* contraction timings
-  on a bench-sized DAG (the committed perf claim of
-  ``benchmarks/bench_dag_contraction.py`` in miniature);
+* the cost model prices the fixed order on a bench-sized DAG well above
+  the searched plan, and both plans contract to the same result (the
+  committed perf claim of ``benchmarks/bench_dag_contraction.py`` in
+  miniature — the timings themselves live in the benchmark);
 * a hand-built network where greedy's locally-cheapest merge is globally
   wrong — DP must beat it, and DP must equal the brute-force optimum
   over every pairwise merge order;
@@ -18,7 +19,6 @@ fragment data:
 """
 
 import itertools
-import time
 
 import numpy as np
 import pytest
@@ -198,10 +198,10 @@ class TestPlanners:
 
 
 class TestCostTracksTime:
-    def test_cost_ordering_matches_measured_timings(self):
+    def test_cost_ordering_matches_plan_flops(self):
         """On the bench DAG (branchy 5-fragment, 2 cuts per group) the
         fixed leaves-to-root order is ≥ 5× more FLOPs than the searched
-        plan, and the measured contraction time agrees on the ordering."""
+        plan, re-pricing the plans agrees, and both contract alike."""
         from repro.cutting.execution import exact_tree_data
         from repro.cutting.reconstruction import (
             _contract_network,
@@ -224,17 +224,11 @@ class TestCostTracksTime:
 
         from repro.utils.bits import permute_probability_axes
 
-        def measure(plan):
-            best = float("inf")
-            for _ in range(5):
-                t0 = time.perf_counter()
-                vec, order = _contract_network(tensors, tree, plan, None)
-                best = min(best, time.perf_counter() - t0)
-            return best, permute_probability_axes(vec, order)
+        def contract(plan):
+            vec, order = _contract_network(tensors, tree, plan, None)
+            return permute_probability_axes(vec, order)
 
-        t_fixed, v_fixed = measure(fixed)
-        t_searched, v_searched = measure(searched)
-        np.testing.assert_allclose(v_fixed, v_searched, atol=1e-9)
-        # generous margin: a ≥ 5× FLOP gap must at least show up as a
-        # measurable slowdown, machine noise notwithstanding
-        assert t_fixed > t_searched * 1.5
+        np.testing.assert_allclose(contract(fixed), contract(searched), atol=1e-9)
+        assert plan_cost(spec, fixed) == fixed.cost
+        assert plan_cost(spec, searched) == searched.cost
+        assert plan_cost(spec, fixed) > 1.5 * plan_cost(spec, searched)

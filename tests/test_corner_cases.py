@@ -8,11 +8,11 @@ from repro.backends import IdealBackend
 from repro.circuits import Circuit, draw
 from repro.core import cost_report, golden_ansatz, predicted_speedup
 from repro.cutting import CutPoint, CutSpec, bipartition
-from repro.cutting.execution import exact_fragment_data
-from repro.cutting.reconstruction import reconstruct_distribution
 from repro.harness.report import format_table
 from repro.observables import DiagonalObservable, PauliSumObservable
 from repro.sim import simulate_statevector
+
+from tests.helpers import exact_pair_probs
 
 
 class TestReportFormatting:
@@ -82,9 +82,7 @@ class TestDegenerateCuts:
         """Smallest possible cut: 2 qubits, 1 cut, 1 gate per side."""
         qc = Circuit(2).ry(0.8, 0).cx(0, 1).rx(0.3, 0)
         # wire 0: ry (up), cx, rx — cut after ry
-        pair = bipartition(qc, CutSpec((CutPoint(0, 0),)))
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
+        p = exact_pair_probs(qc, CutSpec((CutPoint(0, 0),)))
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 
@@ -94,8 +92,7 @@ class TestDegenerateCuts:
         qc.cx(0, 1).cx(1, 2)
         pair = bipartition(qc, CutSpec((CutPoint(0, 0),)))
         assert pair.n_up == 1 and pair.n_up_out == 0
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
+        p = exact_pair_probs(qc, CutSpec((CutPoint(0, 0),)))
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 

@@ -19,10 +19,9 @@ exact physics plus a pure architecture change:
   canonical form), and served under the N-transpile pool law extended to
   joint prep groups (one body transpile per node, ``4^{K_in,flat}`` body
   evolutions);
-* **tree degeneracy**: on pure-tree inputs the DAG engine must keep
-  routing through the historical kernels bit-identically
-  (``plan=None``), and the network path with any searched plan must
-  agree to ≤ 1e-9;
+* **tree degeneracy**: on pure-tree inputs ``plan=None`` must run the
+  fixed leaves-to-root plan, and every searched plan must agree with it
+  to ≤ 1e-9;
 * the sparse/pruned network path must honour the rigorous L1 bound.
 """
 
@@ -44,10 +43,7 @@ from repro.cutting.contraction import (
     network_spec_for_tree,
 )
 from repro.cutting.execution import exact_tree_data, run_tree_fragments
-from repro.cutting.reconstruction import (
-    reconstruct_tree_distribution,
-    reconstruct_tree_distribution_reference,
-)
+from repro.cutting.reconstruction import reconstruct_tree_distribution
 from repro.cutting.sparse import top_k
 from repro.cutting.variants import tree_variant_tuples
 from repro.exceptions import ReconstructionError
@@ -62,6 +58,8 @@ from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError
 from repro.sim import simulate_statevector
 from repro.transpile.coupling import CouplingMap
+
+from tests.oracles import reconstruct_tree_distribution_reference
 
 TOL = 1e-9
 
@@ -400,29 +398,22 @@ class TestTreeDegeneracy:
         )
         return qc, partition_tree(qc, specs)
 
-    def test_default_plan_is_historical_kernel(self):
-        """``plan=None`` on a tree routes to the pre-DAG kernels — the
-        result is bit-identical (array_equal), not merely close."""
-        from repro.cutting.reconstruction import (
-            _contract_tree,
-            _resolve_plan,
-            build_tree_fragment_tensor,
-        )
-        from repro.utils.bits import permute_probability_axes
+    def test_default_plan_is_fixed_plan(self):
+        """``plan=None`` on a tree runs the fixed leaves-to-root plan — the
+        result is bit-identical (array_equal) to asking for it, and the
+        default never pays for a plan search."""
+        from repro.cutting.reconstruction import _resolve_plan
 
-        _, tree = self._tree()
-        assert _resolve_plan(tree, None, None) is None
+        qc, tree = self._tree()
+        plan = _resolve_plan(tree, None, None)
+        assert plan == fixed_plan(network_spec_for_tree(tree))
         data = exact_tree_data(tree)
-        tensors = [
-            build_tree_fragment_tensor(data, i)[0]
-            for i in range(tree.num_fragments)
-        ]
-        vec, order = _contract_tree(tensors, tree)
-        expected = permute_probability_axes(
-            vec / float(1 << tree.total_cuts), order
-        )
         raw = reconstruct_tree_distribution(data, postprocess="raw")
-        assert np.array_equal(raw, expected)
+        assert np.array_equal(
+            raw, reconstruct_tree_distribution(data, postprocess="raw", plan="fixed")
+        )
+        truth = simulate_statevector(qc).probabilities()
+        np.testing.assert_allclose(raw, truth, atol=TOL)
 
     @pytest.mark.parametrize("method", ["fixed", "greedy", "dp"])
     def test_network_path_agrees_on_trees(self, method):

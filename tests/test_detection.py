@@ -4,25 +4,30 @@ import numpy as np
 import pytest
 
 from repro.backends import IdealBackend
-from repro.core import detect_golden_bases, golden_ansatz
-from repro.cutting import bipartition
-from repro.cutting.execution import exact_fragment_data, run_fragments
+from repro.core import detect_tree_golden_bases, golden_ansatz
+from repro.core.golden import tree_definition1_deviation
 from repro.exceptions import DetectionError
 
-from tests.helpers import two_block_circuit
+from tests.helpers import pair_tree, root_pilot_data, two_block_circuit
 
 
-def _measured_data(pair, shots, seed=0):
-    return run_fragments(
-        pair, IdealBackend(), shots=shots, inits=[("Z+",) * pair.num_cuts], seed=seed
-    )
+def _measured_data(tree, shots, seed=0):
+    return root_pilot_data(tree, shots=shots, backend=IdealBackend(), seed=seed)
+
+
+def _detect_root(data, **kwargs):
+    return detect_tree_golden_bases(data, 0, **kwargs)
+
+
+def _z_deviation(tree):
+    return tree_definition1_deviation(root_pilot_data(tree), 0, 0, "Z")
 
 
 class TestDetector:
     def test_detects_true_golden(self):
         spec = golden_ansatz(5, seed=31)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        results = detect_golden_bases(_measured_data(pair, 20_000), alpha=1e-3)
+        tree = pair_tree(spec.circuit, spec.cut_spec)
+        results = _detect_root(_measured_data(tree, 20_000), alpha=1e-3)
         verdict = {r.basis: r.is_golden for r in results}
         assert verdict["Y"] is True
 
@@ -30,13 +35,11 @@ class TestDetector:
         """On a generic circuit with a Z-informative cut, Z must be kept."""
         for seed in range(6):
             qc, spec = two_block_circuit(3, [0, 1], [1, 2], seed=300 + seed)
-            pair = bipartition(qc, spec)
-            from repro.core.golden import definition1_deviation
-
-            dev_z = definition1_deviation(exact_fragment_data(pair), 0, "Z")
+            tree = pair_tree(qc, spec)
+            dev_z = _z_deviation(tree)
             if dev_z < 0.05:
                 continue
-            results = detect_golden_bases(_measured_data(pair, 20_000), alpha=1e-3)
+            results = _detect_root(_measured_data(tree, 20_000), alpha=1e-3)
             verdict = {r.basis: r.is_golden for r in results}
             assert verdict["Z"] is False
             return
@@ -46,19 +49,17 @@ class TestDetector:
         """For a non-golden basis, z grows ~ sqrt(shots)."""
         for seed in range(6):
             qc, spec = two_block_circuit(3, [0, 1], [1, 2], seed=400 + seed)
-            pair = bipartition(qc, spec)
-            from repro.core.golden import definition1_deviation
-
-            if definition1_deviation(exact_fragment_data(pair), 0, "Z") < 0.05:
+            tree = pair_tree(qc, spec)
+            if _z_deviation(tree) < 0.05:
                 continue
             z_small = max(
                 r.max_z
-                for r in detect_golden_bases(_measured_data(pair, 500, seed=1))
+                for r in _detect_root(_measured_data(tree, 500, seed=1))
                 if r.basis == "Z"
             )
             z_big = max(
                 r.max_z
-                for r in detect_golden_bases(_measured_data(pair, 50_000, seed=1))
+                for r in _detect_root(_measured_data(tree, 50_000, seed=1))
                 if r.basis == "Z"
             )
             assert z_big > z_small
@@ -68,11 +69,11 @@ class TestDetector:
     def test_false_rejection_rate_controlled(self):
         """A truly golden basis should essentially never be rejected."""
         spec = golden_ansatz(5, seed=77)
-        pair = bipartition(spec.circuit, spec.cut_spec)
+        tree = pair_tree(spec.circuit, spec.cut_spec)
         rejections = 0
         for trial in range(10):
-            results = detect_golden_bases(
-                _measured_data(pair, 5_000, seed=trial), alpha=1e-3
+            results = _detect_root(
+                _measured_data(tree, 5_000, seed=trial), alpha=1e-3
             )
             y = next(r for r in results if r.basis == "Y")
             rejections += 0 if y.is_golden else 1
@@ -80,22 +81,22 @@ class TestDetector:
 
     def test_p_value_range(self):
         spec = golden_ansatz(5, seed=3)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        for r in detect_golden_bases(_measured_data(pair, 2_000)):
+        tree = pair_tree(spec.circuit, spec.cut_spec)
+        for r in _detect_root(_measured_data(tree, 2_000)):
             assert 0.0 <= r.p_value <= 1.0
 
     def test_requires_finite_shot_data(self):
         spec = golden_ansatz(5, seed=3)
-        pair = bipartition(spec.circuit, spec.cut_spec)
+        tree = pair_tree(spec.circuit, spec.cut_spec)
         with pytest.raises(DetectionError):
-            detect_golden_bases(exact_fragment_data(pair))
+            _detect_root(root_pilot_data(tree))
 
     def test_cut_selection(self):
         qc, spec = two_block_circuit(
             5, [0, 1, 2], [1, 2, 3, 4], seed=5, real_upstream=True
         )
-        pair = bipartition(qc, spec)
-        results = detect_golden_bases(_measured_data(pair, 5_000), cuts=[1])
+        tree = pair_tree(qc, spec)
+        results = _detect_root(_measured_data(tree, 5_000), cuts=[1])
         assert all(r.cut == 1 for r in results)
         assert len(results) == 3
 
@@ -103,7 +104,7 @@ class TestDetector:
         qc, spec = two_block_circuit(
             5, [0, 1, 2], [1, 2, 3, 4], seed=6, real_upstream=True
         )
-        pair = bipartition(qc, spec)
-        results = detect_golden_bases(_measured_data(pair, 30_000), alpha=1e-3)
+        tree = pair_tree(qc, spec)
+        results = _detect_root(_measured_data(tree, 30_000), alpha=1e-3)
         y_verdicts = [r.is_golden for r in results if r.basis == "Y"]
         assert y_verdicts == [True, True]

@@ -4,63 +4,76 @@ import numpy as np
 import pytest
 
 from repro.backends import IdealBackend, fake_5q_device
-from repro.cutting import allocate_shots, bipartition
-from repro.cutting.execution import exact_fragment_data, run_fragments
-from repro.cutting.reconstruction import reconstruct_distribution
+from repro.cutting import allocate_shots
+from repro.cutting.execution import exact_tree_data, run_tree_fragments
+from repro.cutting.reconstruction import reconstruct_tree_distribution
 from repro.exceptions import CutError
 from repro.metrics import total_variation
-from repro.parallel import parallel_map, run_fragments_parallel
+from repro.parallel import parallel_map, run_tree_fragments_parallel
 from repro.sim import simulate_statevector
 
+from tests.helpers import pair_tree
 
-class TestRunFragments:
-    def test_default_variant_counts(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=100, seed=0)
-        assert len(data.upstream) == 3
-        assert len(data.downstream) == 6
+
+@pytest.fixture
+def simple_tree(simple_cut_pair):
+    qc, spec, _ = simple_cut_pair
+    return qc, pair_tree(qc, spec)
+
+
+class TestRunTreeFragments:
+    """Execution of the single cut as the 2-node tree."""
+
+    def test_default_variant_counts(self, simple_tree):
+        _, tree = simple_tree
+        data = run_tree_fragments(tree, IdealBackend(), shots=100, seed=0)
+        assert [len(r) for r in data.records] == [3, 6]
         assert data.num_variants == 9
         assert data.total_shots == 900
 
-    def test_upstream_arrays_shape_and_mass(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=1000, seed=1)
-        for arr in data.upstream.values():
-            assert arr.shape == (1 << pair.n_up_out, 1 << pair.num_cuts)
+    def test_measuring_records_shape_and_mass(self, simple_tree):
+        _, tree = simple_tree
+        data = run_tree_fragments(tree, IdealBackend(), shots=1000, seed=1)
+        root = tree.fragments[0]
+        for arr in data.records[0].values():
+            assert arr.shape == (1 << root.n_out, 1 << root.num_meas)
             assert np.isclose(arr.sum(), 1.0)
 
-    def test_downstream_vectors(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=1000, seed=2)
-        for vec in data.downstream.values():
-            assert vec.shape == (1 << pair.n_down,)
+    def test_preparing_records(self, simple_tree):
+        _, tree = simple_tree
+        data = run_tree_fragments(tree, IdealBackend(), shots=1000, seed=2)
+        leaf = tree.fragments[1]
+        for vec in data.records[1].values():
+            assert vec.shape == (1 << leaf.n_out, 1)
             assert np.isclose(vec.sum(), 1.0)
 
-    def test_custom_variant_sets(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = run_fragments(
-            pair, IdealBackend(), shots=100,
-            settings=[("X",)], inits=[("Z+",), ("Z-",)], seed=3,
+    def test_custom_variant_sets(self, simple_tree):
+        _, tree = simple_tree
+        variants = [[((), ("X",))], [(("Z+",), ()), (("Z-",), ())]]
+        data = run_tree_fragments(
+            tree, IdealBackend(), shots=100, variants=variants, seed=3
         )
-        assert set(data.upstream) == {("X",)}
-        assert set(data.downstream) == {("Z+",), ("Z-",)}
+        assert set(data.records[0]) == {((), ("X",))}
+        assert set(data.records[1]) == {(("Z+",), ()), (("Z-",), ())}
 
-    def test_empty_variants_rejected(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
+    def test_empty_variants_rejected(self, simple_tree):
+        _, tree = simple_tree
         with pytest.raises(CutError):
-            run_fragments(pair, IdealBackend(), shots=10, settings=[], seed=0)
+            run_tree_fragments(
+                tree, IdealBackend(), shots=10, variants=[[], None], seed=0
+            )
 
-    def test_exact_matches_high_shot_limit(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        exact = exact_fragment_data(pair)
-        sampled = run_fragments(pair, IdealBackend(), shots=300_000, seed=4)
-        for key in exact.upstream:
-            assert np.abs(exact.upstream[key] - sampled.upstream[key]).max() < 0.01
+    def test_exact_matches_high_shot_limit(self, simple_tree):
+        _, tree = simple_tree
+        exact = exact_tree_data(tree)
+        sampled = run_tree_fragments(tree, IdealBackend(), shots=300_000, seed=4)
+        for key, ref in exact.records[0].items():
+            assert np.abs(ref - sampled.records[0][key]).max() < 0.01
 
-    def test_device_seconds_tracked(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
+    def test_device_seconds_tracked(self, simple_tree):
+        _, tree = simple_tree
         dev = fake_5q_device()
-        data = run_fragments(pair, dev, shots=100, seed=5)
+        data = run_tree_fragments(tree, dev, shots=100, seed=5)
         assert data.modeled_seconds > 0
         assert np.isclose(data.modeled_seconds, dev.clock.now)
 
@@ -171,19 +184,19 @@ class TestParallel:
         with pytest.raises(ValueError):
             parallel_map(lambda x: x, [1, 2], mode="gpu")
 
-    def test_parallel_fragments_match_serial_reconstruction(self, simple_cut_pair):
-        qc, _, pair = simple_cut_pair
+    def test_parallel_fragments_match_serial_reconstruction(self, simple_tree):
+        qc, tree = simple_tree
         truth = simulate_statevector(qc).probabilities()
-        data = run_fragments_parallel(
-            pair, IdealBackend, shots=100_000, seed=9, max_workers=4
+        data = run_tree_fragments_parallel(
+            tree, IdealBackend, shots=100_000, seed=9, max_workers=4
         )
-        p = reconstruct_distribution(data, postprocess="clip")
+        p = reconstruct_tree_distribution(data, postprocess="clip")
         assert total_variation(p, truth) < 0.01
 
-    def test_parallel_sums_device_time(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = run_fragments_parallel(
-            pair, fake_5q_device, shots=100, seed=1, max_workers=2
+    def test_parallel_sums_device_time(self, simple_tree):
+        _, tree = simple_tree
+        data = run_tree_fragments_parallel(
+            tree, fake_5q_device, shots=100, seed=1, max_workers=2
         )
         assert data.modeled_seconds > 0
         assert data.metadata["parallel"] is True
@@ -457,10 +470,3 @@ class TestTreeProcessExecutor:
                     mode="process",
                     retry=policy,
                 )
-
-    def test_run_fragments_parallel_rejects_process(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        with pytest.raises(ValueError, match="tree"):
-            run_fragments_parallel(
-                pair, IdealBackend, shots=100, seed=0, mode="process"
-            )

@@ -1,48 +1,36 @@
 """Equivalence of the cached/vectorised hot path against the reference path.
 
-The PR that introduced :mod:`repro.cutting.cache` and the factorised
-reconstruction kernels must be a pure performance change: every number the
-fast path produces has to match a from-scratch simulation of each physical
-variant circuit (the pre-cache semantics) to ≤1e-9.  These tests pin that
-down across random circuits, ``K ∈ {1, 2, 3}``, full and reduced/neglected
-basis pools, and both execution entry points.
+The cache (:mod:`repro.cutting.cache`) and the factorised reconstruction
+kernels must be a pure performance change: every number the fast path
+produces has to match a from-scratch simulation of each physical variant
+circuit (the pre-cache semantics) to ≤1e-9.  These tests pin that down on
+the paper's single cut — the 2-node fragment tree — across random
+circuits, ``K ∈ {1, 2, 3}``, full and reduced/neglected basis pools, and
+both execution entry points.
 """
 
 import numpy as np
 import pytest
 
 from repro.backends import IdealBackend
-from repro.core.neglect import (
-    reduced_bases,
-    reduced_init_tuples,
-    reduced_setting_tuples,
-)
+from repro.backends.base import Backend
+from repro.core.neglect import tree_reduced_variants
 from repro.circuits.circuit import Circuit
 from repro.circuits.random import random_circuit
-from repro.cutting import FragmentSimCache, bipartition
 from repro.cutting.cut import CutPoint, CutSpec
 from repro.cutting.execution import (
-    _split_upstream_probs,
-    exact_fragment_data,
-    run_fragments,
+    _split_joint_probs,
+    exact_tree_data,
+    run_tree_fragments,
 )
-from repro.cutting.reconstruction import (
-    _signs_for,
-    build_downstream_tensor,
-    build_downstream_tensor_reference,
-    build_upstream_tensor,
-    build_upstream_tensor_reference,
-    reconstruct_distribution,
-)
-from repro.cutting.variants import (
-    downstream_init_tuples,
-    downstream_variant,
-    upstream_setting_tuples,
-    upstream_variant,
-)
+from repro.cutting.reconstruction import _signs_for, build_tree_fragment_tensor
+from repro.cutting.variants import tree_variant, tree_variant_tuples
 from repro.harness.scaling import multi_cut_golden_circuit
-from repro.parallel import run_fragments_parallel
+from repro.parallel import run_tree_fragments_parallel
 from repro.sim import simulate_statevector
+
+from tests.helpers import exact_pair_probs, pair_tree
+from tests.oracles import build_tree_fragment_tensor_reference
 
 TOL = 1e-9
 
@@ -75,170 +63,155 @@ def random_cut_circuit(num_cuts: int, seed: int):
     return qc, spec
 
 
-def reference_exact_data(pair, settings, inits):
+def reference_exact_records(tree, variants):
     """Pre-cache semantics: simulate every physical variant circuit."""
-    upstream = {
-        tuple(s): _split_upstream_probs(
-            simulate_statevector(upstream_variant(pair, s)).probabilities(), pair
+    out = []
+    for i, combos in enumerate(variants):
+        frag = tree.fragments[i]
+        out.append(
+            {
+                combo: _split_joint_probs(
+                    simulate_statevector(
+                        tree_variant(tree, i, *combo)
+                    ).probabilities(),
+                    frag.out_local,
+                    frag.cut_local,
+                )
+                for combo in combos
+            }
         )
-        for s in settings
-    }
-    downstream = {
-        tuple(i): simulate_statevector(downstream_variant(pair, i)).probabilities()
-        for i in inits
-    }
-    return upstream, downstream
+    return out
 
 
-def pair_for(K, seed, golden_shape):
-    builder = multi_cut_golden_circuit if golden_shape else random_cut_circuit
+def tree_for(K, seed, golden_shape):
     if golden_shape:
-        qc, spec = builder(K, extra_up=2, extra_down=2, depth=2, seed=seed)
+        qc, spec = multi_cut_golden_circuit(
+            K, extra_up=2, extra_down=2, depth=2, seed=seed
+        )
     else:
-        qc, spec = builder(K, seed)
-    return qc, bipartition(qc, spec)
+        qc, spec = random_cut_circuit(K, seed)
+    return qc, spec, pair_tree(qc, spec)
+
+
+def _full_variants(tree):
+    return [tree_variant_tuples(tree, i) for i in range(tree.num_fragments)]
+
+
+def _assert_records_close(data, ref):
+    for rec, ref_rec in zip(data.records, ref):
+        assert set(rec) == set(ref_rec)
+        for combo in ref_rec:
+            np.testing.assert_allclose(rec[combo], ref_rec[combo], atol=TOL)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("golden_shape", [False, True])
 class TestCacheMatchesVariantSimulation:
-    def test_exact_fragment_data_full_sets(self, K, golden_shape):
-        _, pair = pair_for(K, 100 + K, golden_shape)
-        settings = upstream_setting_tuples(K)
-        inits = downstream_init_tuples(K)
-        ref_up, ref_down = reference_exact_data(pair, settings, inits)
-        data = exact_fragment_data(pair)
-        assert set(data.upstream) == set(ref_up)
-        assert set(data.downstream) == set(ref_down)
-        for s in ref_up:
-            np.testing.assert_allclose(data.upstream[s], ref_up[s], atol=TOL)
-        for i in ref_down:
-            np.testing.assert_allclose(data.downstream[i], ref_down[i], atol=TOL)
+    def test_exact_tree_data_full_sets(self, K, golden_shape):
+        _, _, tree = tree_for(K, 100 + K, golden_shape)
+        ref = reference_exact_records(tree, _full_variants(tree))
+        _assert_records_close(exact_tree_data(tree), ref)
 
-    def test_exact_fragment_data_reduced_sets(self, K, golden_shape):
-        _, pair = pair_for(K, 200 + K, golden_shape)
+    def test_exact_tree_data_reduced_sets(self, K, golden_shape):
+        _, _, tree = tree_for(K, 200 + K, golden_shape)
         golden = {0: "Y"} if K == 1 else {0: "Y", K - 1: ("X", "Z")}
-        settings = reduced_setting_tuples(K, golden)
-        inits = reduced_init_tuples(K, golden)
-        ref_up, ref_down = reference_exact_data(pair, settings, inits)
-        data = exact_fragment_data(pair, settings=settings, inits=inits)
-        for s in ref_up:
-            np.testing.assert_allclose(data.upstream[s], ref_up[s], atol=TOL)
-        for i in ref_down:
-            np.testing.assert_allclose(data.downstream[i], ref_down[i], atol=TOL)
+        _, variants = tree_reduced_variants(tree, [golden])
+        ref = reference_exact_records(tree, variants)
+        _assert_records_close(exact_tree_data(tree, variants=variants), ref)
 
-    def test_run_fragments_ideal_exact_backend(self, K, golden_shape):
-        """The ideal backend's cached run_variants path == circuit execution."""
-        _, pair = pair_for(K, 300 + K, golden_shape)
-        shots = 4096
-        data = run_fragments(pair, IdealBackend(exact=True), shots=shots, seed=7)
-        settings = upstream_setting_tuples(K)
-        inits = downstream_init_tuples(K)
-        # reference: the physical circuits through the same exact backend
-        backend = IdealBackend(exact=True)
-        circuits = [upstream_variant(pair, s) for s in settings] + [
-            downstream_variant(pair, i) for i in inits
-        ]
-        results = backend.run(circuits, shots=shots, seed=7)
-        for s, res in zip(settings, results[: len(settings)]):
-            ref = _split_upstream_probs(res.probabilities(), pair)
-            np.testing.assert_allclose(data.upstream[tuple(s)], ref, atol=TOL)
-        for i, res in zip(inits, results[len(settings) :]):
-            np.testing.assert_allclose(
-                data.downstream[tuple(i)], res.probabilities(), atol=TOL
+    def test_run_tree_variants_ideal_exact_backend(self, K, golden_shape):
+        """The ideal backend's cached fast path == circuit execution."""
+        _, _, tree = tree_for(K, 300 + K, golden_shape)
+        for i, combos in enumerate(_full_variants(tree)):
+            fast = IdealBackend(exact=True).run_tree_variants(
+                tree, i, combos, shots=4096, seed=7
             )
+            ref = Backend.run_tree_variants(
+                IdealBackend(exact=True), tree, i, combos, shots=4096, seed=7
+            )
+            for f, r in zip(fast, ref):
+                np.testing.assert_allclose(
+                    f.probabilities(), r.probabilities(), atol=TOL
+                )
 
     def test_reconstruction_end_to_end(self, K, golden_shape):
-        qc, pair = pair_for(K, 400 + K, golden_shape)
+        qc, spec, _ = tree_for(K, 400 + K, golden_shape)
         truth = simulate_statevector(qc).probabilities()
-        p = reconstruct_distribution(exact_fragment_data(pair), postprocess="raw")
-        np.testing.assert_allclose(p, truth, atol=TOL)
+        np.testing.assert_allclose(exact_pair_probs(qc, spec), truth, atol=TOL)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
 class TestVectorisedKernelsMatchReference:
     @pytest.fixture
     def data(self, K):
-        _, pair = pair_for(K, 500 + K, False)
-        return exact_fragment_data(pair)
+        return exact_tree_data(tree_for(K, 500 + K, False)[2])
+
+    @staticmethod
+    def _assert_nodes_match(data, bases=None):
+        for i in range(data.tree.num_fragments):
+            fast, rp_f, rg_f = build_tree_fragment_tensor(data, i, bases)
+            ref, rp_r, rg_r = build_tree_fragment_tensor_reference(data, i, bases)
+            assert rp_f == rp_r and rg_f == rg_r
+            np.testing.assert_allclose(fast, ref, atol=TOL)
 
     def test_full_bases(self, K, data):
-        A, rows_a = build_upstream_tensor(data)
-        Ar, rows_ar = build_upstream_tensor_reference(data)
-        B, rows_b = build_downstream_tensor(data)
-        Br, rows_br = build_downstream_tensor_reference(data)
-        assert rows_a == rows_ar and rows_b == rows_br
-        np.testing.assert_allclose(A, Ar, atol=TOL)
-        np.testing.assert_allclose(B, Br, atol=TOL)
+        self._assert_nodes_match(data)
 
     @pytest.mark.parametrize(
         "pool", [("I", "X", "Z"), ("I", "Y"), ("I", "X", "Y"), ("I",)]
     )
     def test_neglected_pools(self, K, data, pool):
         """Neglecting basis elements just slices the per-cut factors."""
-        bases = [pool] + [("I", "X", "Y", "Z")] * (K - 1)
-        A, rows_a = build_upstream_tensor(data, bases)
-        Ar, rows_ar = build_upstream_tensor_reference(data, bases)
-        B, _ = build_downstream_tensor(data, bases)
-        Br, _ = build_downstream_tensor_reference(data, bases)
-        assert rows_a == rows_ar and len(rows_a) == len(pool) * 4 ** (K - 1)
-        np.testing.assert_allclose(A, Ar, atol=TOL)
-        np.testing.assert_allclose(B, Br, atol=TOL)
+        bases = [[pool] + [("I", "X", "Y", "Z")] * (K - 1)]
+        _, _, (rows,) = build_tree_fragment_tensor(data, 0, bases)
+        assert len(rows) == len(pool) * 4 ** (K - 1)
+        self._assert_nodes_match(data, bases)
 
     def test_reduced_data_reduced_bases(self, K, data):
-        _, pair = pair_for(K, 600 + K, True)
-        golden = {k: "Y" for k in range(K)}
-        d = exact_fragment_data(
-            pair,
-            settings=reduced_setting_tuples(K, golden),
-            inits=reduced_init_tuples(K, golden),
+        _, _, tree = tree_for(K, 600 + K, True)
+        bases, variants = tree_reduced_variants(
+            tree, [{k: "Y" for k in range(K)}]
         )
-        bases = reduced_bases(K, golden)
-        A, _ = build_upstream_tensor(d, bases)
-        Ar, _ = build_upstream_tensor_reference(d, bases)
-        B, _ = build_downstream_tensor(d, bases)
-        Br, _ = build_downstream_tensor_reference(d, bases)
-        np.testing.assert_allclose(A, Ar, atol=TOL)
-        np.testing.assert_allclose(B, Br, atol=TOL)
+        self._assert_nodes_match(exact_tree_data(tree, variants=variants), bases)
 
 
 class TestSampledPaths:
-    def test_sampled_run_fragments_statistics(self):
+    def test_sampled_run_tree_fragments_statistics(self):
         """The cached sampling path still concentrates on the exact data."""
-        _, pair = pair_for(2, 700, False)
-        exact = exact_fragment_data(pair)
-        data = run_fragments(pair, IdealBackend(), shots=200_000, seed=11)
-        for key in exact.upstream:
-            assert np.abs(exact.upstream[key] - data.upstream[key]).max() < 0.01
-        for key in exact.downstream:
-            assert np.abs(exact.downstream[key] - data.downstream[key]).max() < 0.01
+        _, _, tree = tree_for(2, 700, False)
+        exact = exact_tree_data(tree)
+        data = run_tree_fragments(tree, IdealBackend(), shots=200_000, seed=11)
+        for rec, ref in zip(data.records, exact.records):
+            for key in ref:
+                assert np.abs(ref[key] - rec[key]).max() < 0.01
 
     def test_parallel_thread_matches_serial(self):
         """Worker-local backends + shared cache keep results bit-identical."""
-        _, pair = pair_for(2, 800, False)
-        a = run_fragments_parallel(
-            pair, IdealBackend, shots=500, seed=3, max_workers=4, mode="thread"
+        _, _, tree = tree_for(2, 800, False)
+        a = run_tree_fragments_parallel(
+            tree, IdealBackend, shots=500, seed=3, max_workers=4, mode="thread"
         )
-        b = run_fragments_parallel(
-            pair, IdealBackend, shots=500, seed=3, mode="serial"
+        b = run_tree_fragments_parallel(
+            tree, IdealBackend, shots=500, seed=3, mode="serial"
         )
-        assert set(a.upstream) == set(b.upstream)
-        for k in a.upstream:
-            np.testing.assert_array_equal(a.upstream[k], b.upstream[k])
-        for k in a.downstream:
-            np.testing.assert_array_equal(a.downstream[k], b.downstream[k])
+        for ra, rb in zip(a.records, b.records):
+            assert set(ra) == set(rb)
+            for k in ra:
+                np.testing.assert_array_equal(ra[k], rb[k])
 
     def test_cache_is_shared_across_pipeline_stages(self):
-        """One FragmentSimCache instance serves finder + execution."""
-        _, pair = pair_for(2, 900, True)
-        cache = FragmentSimCache(pair)
-        d1 = exact_fragment_data(pair, cache=cache)
-        body = cache._up_tensor
+        """One cache pool serves finder + execution."""
+        _, _, tree = tree_for(2, 900, True)
+        pool = IdealBackend().make_tree_cache_pool(tree)
+        d1 = exact_tree_data(tree, pool=pool)
+        body = pool[0]._columns
         assert body is not None
-        d2 = run_fragments(pair, IdealBackend(exact=True), shots=100, cache=cache)
-        assert cache._up_tensor is body  # body simulated exactly once
-        for k in d1.upstream:
-            assert d2.upstream[k].shape == d1.upstream[k].shape
+        d2 = run_tree_fragments(
+            tree, IdealBackend(exact=True), shots=100, pool=pool
+        )
+        assert pool[0]._columns is body  # body simulated exactly once
+        for k in d1.records[0]:
+            assert d2.records[0][k].shape == d1.records[0][k].shape
 
 
 class TestSignsFor:

@@ -68,9 +68,9 @@ class TestBipartition:
         """
         import numpy as np
 
-        from repro.cutting.execution import exact_fragment_data
-        from repro.cutting.reconstruction import reconstruct_distribution
         from repro.sim import simulate_statevector
+
+        from tests.helpers import exact_pair_probs
 
         qc = Circuit(3)
         qc.h(0).h(1)
@@ -78,8 +78,7 @@ class TestBipartition:
         pair = bipartition(qc, CutSpec((CutPoint(1, 1),)))
         assert pair.n_up_out == 0
         assert sorted(pair.down_out_original) == [0, 1, 2]
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
+        p = exact_pair_probs(qc, CutSpec((CutPoint(1, 1),)))
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 

@@ -6,24 +6,28 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.core import (
-    find_golden_bases_analytic,
-    golden_ansatz,
-    three_qubit_example,
-)
-from repro.core.golden import definition1_deviation, is_golden_analytic
-from repro.core.neglect import (
-    reduced_bases,
-    reduced_init_tuples,
-    reduced_setting_tuples,
-)
+from repro.core import golden_ansatz, three_qubit_example
+from repro.core.golden import tree_definition1_deviation
 from repro.cutting import bipartition
-from repro.cutting.execution import exact_fragment_data
-from repro.cutting.reconstruction import reconstruct_distribution
 from repro.exceptions import CutError, DetectionError
 from repro.sim import simulate_statevector
 
-from tests.helpers import two_block_circuit
+from tests.helpers import (
+    exact_pair_probs,
+    pair_tree,
+    root_golden_bases,
+    root_pilot_data,
+    two_block_circuit,
+)
+
+
+def _is_golden(qc, spec, cut, basis):
+    return basis in root_golden_bases(pair_tree(qc, spec))[cut]
+
+
+def _deviation(qc, spec, cut, basis, settings=None):
+    data = root_pilot_data(pair_tree(qc, spec), settings=settings)
+    return tree_definition1_deviation(data, 0, cut, basis)
 
 
 class TestGoldenAnsatz:
@@ -31,14 +35,13 @@ class TestGoldenAnsatz:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_designed_basis_is_golden(self, basis, seed):
         spec = golden_ansatz(5, depth=3, golden_basis=basis, seed=seed)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        assert is_golden_analytic(pair, 0, basis)
+        assert _is_golden(spec.circuit, spec.cut_spec, 0, basis)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_widths(self, n):
         spec = golden_ansatz(n, depth=2, seed=n)
         pair = bipartition(spec.circuit, spec.cut_spec)
-        assert is_golden_analytic(pair, 0, "Y")
+        assert _is_golden(spec.circuit, spec.cut_spec, 0, "Y")
         assert sorted(pair.output_order()) == list(range(n))
 
     def test_fragment_shapes_match_paper(self):
@@ -58,13 +61,11 @@ class TestGoldenAnsatz:
 
     def test_without_rx_layer(self):
         spec = golden_ansatz(5, seed=3, rx_layer=False)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        assert is_golden_analytic(pair, 0, "Y")
+        assert _is_golden(spec.circuit, spec.cut_spec, 0, "Y")
 
     def test_three_qubit_example_golden(self):
         spec = three_qubit_example(seed=4, golden=True)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        assert is_golden_analytic(pair, 0, "Y")
+        assert _is_golden(spec.circuit, spec.cut_spec, 0, "Y")
 
     def test_reproducible(self):
         a = golden_ansatz(5, seed=9).circuit
@@ -75,47 +76,35 @@ class TestGoldenAnsatz:
 class TestDefinitionOne:
     def test_deviation_zero_for_golden(self):
         spec = golden_ansatz(5, seed=2)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        data = exact_fragment_data(pair, inits=[("Z+",)])
-        assert definition1_deviation(data, 0, "Y") < 1e-10
+        assert _deviation(spec.circuit, spec.cut_spec, 0, "Y") < 1e-10
 
     def test_deviation_positive_for_regular(self):
         """A generic (complex) upstream block is not Y-golden."""
         qc, spec = two_block_circuit(3, [0, 1], [1, 2], seed=17)
-        pair = bipartition(qc, spec)
-        devs = {
-            b: definition1_deviation(
-                exact_fragment_data(pair, inits=[("Z+",)]), 0, b
-            )
-            for b in ("X", "Y", "Z")
-        }
+        devs = {b: _deviation(qc, spec, 0, b) for b in ("X", "Y", "Z")}
         # at least one basis must carry information for a generic circuit
         assert max(devs.values()) > 1e-3
 
     def test_invalid_basis(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
+        qc, spec, _ = simple_cut_pair
         with pytest.raises(DetectionError):
-            definition1_deviation(data, 0, "I")
+            _deviation(qc, spec, 0, "I")
 
     def test_invalid_cut_index(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
+        qc, spec, _ = simple_cut_pair
         with pytest.raises(DetectionError):
-            definition1_deviation(data, 3, "Y")
+            _deviation(qc, spec, 3, "Y")
 
     def test_missing_setting(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair, settings=[("Z",)])
+        qc, spec, _ = simple_cut_pair
         with pytest.raises(DetectionError):
-            definition1_deviation(data, 0, "Y")
+            _deviation(qc, spec, 0, "Y", settings=[("Z",)])
 
 
 class TestAnalyticFinder:
     def test_finds_only_real_golden_bases(self):
         spec = golden_ansatz(5, depth=3, golden_basis="Y", seed=11)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        found = find_golden_bases_analytic(pair)
+        found = root_golden_bases(pair_tree(spec.circuit, spec.cut_spec))
         assert "Y" in found[0]
 
     def test_multi_cut_mixed(self):
@@ -123,8 +112,7 @@ class TestAnalyticFinder:
         qc, spec = two_block_circuit(
             5, [0, 1, 2], [1, 2, 3, 4], seed=4, real_upstream=True
         )
-        pair = bipartition(qc, spec)
-        found = find_golden_bases_analytic(pair)
+        found = root_golden_bases(pair_tree(qc, spec))
         assert "Y" in found[0] and "Y" in found[1]
 
     def test_bell_correlated_cuts_are_not_y_golden(self):
@@ -141,14 +129,11 @@ class TestAnalyticFinder:
         qc.ry(0.4, 0).cx(0, 1)  # upstream out qubit
         qc.cx(1, 3).cx(2, 3)    # downstream
         spec = CutSpec((CutPoint(1, 3), CutPoint(2, 1)))
-        pair = bipartition(qc, spec)
-        found = find_golden_bases_analytic(pair)
+        found = root_golden_bases(pair_tree(qc, spec))
         assert "Y" not in found[0] and "Y" not in found[1]
         # single-cut restriction of the same state *is* Y-golden: the odd-Y
         # expectation ψᵀ(D ⊗ Y)ψ vanishes for real ψ
-        dev = definition1_deviation(
-            exact_fragment_data(pair, inits=[("Z+", "Z+")]), 0, "Y"
-        )
+        dev = _deviation(qc, spec, 0, "Y")
         assert dev > 0.1  # driven by the (Y, Y) measurement context
 
     def test_regular_cut_can_be_empty(self):
@@ -160,8 +145,7 @@ class TestAnalyticFinder:
             qc, spec = two_block_circuit(
                 3, [0, 1], [1, 2], depth=6, seed=100 + seed
             )
-            pair = bipartition(qc, spec)
-            found = find_golden_bases_analytic(pair)
+            found = root_golden_bases(pair_tree(qc, spec))
             if not found[0]:
                 return  # found a generic regular cut
         pytest.fail("every random circuit accidentally golden — improbable")
@@ -175,8 +159,7 @@ class TestAnalyticFinder:
         qc = Circuit(2)
         qc.rz(0.8, 0).t(0)  # cut wire stays |0>
         qc.cx(0, 1)
-        pair = bipartition(qc, CutSpec((CutPoint(0, 1),)))
-        found = find_golden_bases_analytic(pair)
+        found = root_golden_bases(pair_tree(qc, CutSpec((CutPoint(0, 1),))))
         assert set(found[0]) == {"X", "Y"}
 
 
@@ -186,16 +169,7 @@ class TestGoldenReconstructionExactness:
     @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
     def test_reduced_equals_truth(self, basis):
         spec = golden_ansatz(5, depth=3, golden_basis=basis, seed=23)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        golden = {0: basis}
-        data = exact_fragment_data(
-            pair,
-            settings=reduced_setting_tuples(1, golden),
-            inits=reduced_init_tuples(1, golden),
-        )
-        p = reconstruct_distribution(
-            data, bases=reduced_bases(1, golden), postprocess="raw"
-        )
+        p = exact_pair_probs(spec.circuit, spec.cut_spec, golden={0: basis})
         truth = simulate_statevector(spec.circuit).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 
@@ -203,16 +177,7 @@ class TestGoldenReconstructionExactness:
         qc, spec = two_block_circuit(
             5, [0, 1, 2], [1, 2, 3, 4], seed=6, real_upstream=True
         )
-        pair = bipartition(qc, spec)
-        golden = {0: "Y", 1: "Y"}
-        data = exact_fragment_data(
-            pair,
-            settings=reduced_setting_tuples(2, golden),
-            inits=reduced_init_tuples(2, golden),
-        )
-        p = reconstruct_distribution(
-            data, bases=reduced_bases(2, golden), postprocess="raw"
-        )
+        p = exact_pair_probs(qc, spec, golden={0: "Y", 1: "Y"})
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 
@@ -221,16 +186,7 @@ class TestGoldenReconstructionExactness:
         qc, spec = two_block_circuit(
             5, [0, 1, 2], [1, 2, 3, 4], seed=8, real_upstream=True
         )
-        pair = bipartition(qc, spec)
-        golden = {0: "Y"}  # treat only cut 0 as golden
-        data = exact_fragment_data(
-            pair,
-            settings=reduced_setting_tuples(2, golden),
-            inits=reduced_init_tuples(2, golden),
-        )
-        p = reconstruct_distribution(
-            data, bases=reduced_bases(2, golden), postprocess="raw"
-        )
+        p = exact_pair_probs(qc, spec, golden={0: "Y"})
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 
@@ -240,21 +196,9 @@ class TestGoldenReconstructionExactness:
             qc, spec = two_block_circuit(
                 3, [0, 1], [1, 2], depth=6, seed=200 + seed
             )
-            pair = bipartition(qc, spec)
-            dev = definition1_deviation(
-                exact_fragment_data(pair, inits=[("Z+",)]), 0, "Y"
-            )
-            if dev < 1e-3:
+            if _deviation(qc, spec, 0, "Y") < 1e-3:
                 continue  # basis accidentally (near) golden; pick another
-            golden = {0: "Y"}
-            data = exact_fragment_data(
-                pair,
-                settings=reduced_setting_tuples(1, golden),
-                inits=reduced_init_tuples(1, golden),
-            )
-            p = reconstruct_distribution(
-                data, bases=reduced_bases(1, golden), postprocess="raw"
-            )
+            p = exact_pair_probs(qc, spec, golden={0: "Y"})
             truth = simulate_statevector(qc).probabilities()
             assert not np.allclose(p, truth, atol=1e-6)
             return

@@ -100,12 +100,16 @@ class TestScaling:
         for r in rows:
             K, kg = r["K"], r["K_golden"]
             assert r["rows(4^Kr*3^Kg)"] == 4 ** (K - kg) * 3**kg
-            assert r["variants"] == 3 ** (K - kg) * 2**kg + 6 ** (K - kg) * 4**kg
+            assert r["upstream"] == 3 ** (K - kg) * 2**kg
+            assert r["downstream"] == 6 ** (K - kg) * 4**kg
+            assert r["variants"] == r["upstream"] + r["downstream"]
 
-    def test_golden_reduces_reconstruction_time(self):
-        rows = run_scaling(max_cuts=3, depth=2, seed=6, repeats=3)
-        k3 = {r["K_golden"]: r["reconstruct_ms"] for r in rows if r["K"] == 3}
-        assert k3[3] < k3[0]  # all-golden strictly cheaper than none
+    def test_golden_reduces_reconstruction_rows(self):
+        """Every extra golden cut shrinks the counted reconstruction rows
+        (the deterministic cost the wall-time column measures)."""
+        rows = run_scaling(max_cuts=3, depth=2, seed=6, repeats=1)
+        k3 = {r["K_golden"]: r["rows(4^Kr*3^Kg)"] for r in rows if r["K"] == 3}
+        assert k3[3] < k3[2] < k3[1] < k3[0]  # 27 < 36 < 48 < 64
 
 
 class TestReport:

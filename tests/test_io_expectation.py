@@ -1,81 +1,29 @@
-"""Tests for fragment-data persistence and exact observable expectations."""
+"""Tests for reconstructed counts and exact observable expectations."""
 
 import numpy as np
 import pytest
 
-from repro.backends import IdealBackend
 from repro.circuits import Circuit, random_circuit
-from repro.cutting import (
-    bipartition,
-    load_fragment_data,
-    reconstruct_counts,
-    reconstruct_distribution,
-    save_fragment_data,
-)
-from repro.cutting.execution import exact_fragment_data, run_fragments
-from repro.exceptions import ReconstructionError, SimulationError
+from repro.cutting import exact_tree_data, reconstruct_counts
+from repro.exceptions import SimulationError
 from repro.linalg.paulis import PauliString
 from repro.sim import simulate_statevector
 from repro.sim.expectation import expectation_from_probs, expectation_of_observable
 
-
-class TestFragmentArchive:
-    def test_roundtrip_preserves_reconstruction(self, simple_cut_pair, tmp_path):
-        qc, _, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=2000, seed=5)
-        p_before = reconstruct_distribution(data)
-        path = save_fragment_data(data, tmp_path / "run.npz")
-        loaded = load_fragment_data(path)
-        p_after = reconstruct_distribution(loaded)
-        np.testing.assert_allclose(p_after, p_before, atol=1e-12)
-
-    def test_roundtrip_metadata(self, simple_cut_pair, tmp_path):
-        _, spec, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=500, seed=1)
-        loaded = load_fragment_data(save_fragment_data(data, tmp_path / "x.npz"))
-        assert loaded.shots_per_variant == 500
-        assert loaded.pair.num_cuts == pair.num_cuts
-        assert loaded.pair.up_out_original == pair.up_out_original
-        assert loaded.pair.spec.cuts == spec.cuts
-        assert set(loaded.upstream) == set(data.upstream)
-
-    def test_loaded_circuits_match(self, simple_cut_pair, tmp_path):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
-        loaded = load_fragment_data(save_fragment_data(data, tmp_path / "e.npz"))
-        assert loaded.pair.upstream == pair.upstream
-        assert loaded.pair.downstream == pair.downstream
-
-    def test_golden_analysis_on_loaded_data(self, tmp_path):
-        from repro.core import detect_golden_bases, golden_ansatz
-
-        spec = golden_ansatz(5, seed=13)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        data = run_fragments(
-            pair, IdealBackend(), shots=10_000, inits=[("Z+",)], seed=2
-        )
-        loaded = load_fragment_data(save_fragment_data(data, tmp_path / "g.npz"))
-        verdicts = {r.basis: r.is_golden for r in detect_golden_bases(loaded)}
-        assert verdicts["Y"] is True
-
-    def test_not_an_archive(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, a=np.zeros(3))
-        with pytest.raises(ReconstructionError):
-            load_fragment_data(path)
+from tests.helpers import pair_tree
 
 
 class TestReconstructCounts:
     def test_counts_scale(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
+        qc, spec, _ = simple_cut_pair
+        data = exact_tree_data(pair_tree(qc, spec))
         counts = reconstruct_counts(data, shots=10_000)
         assert abs(sum(counts.values()) - 10_000) <= len(counts)
         assert all(len(k) == 3 for k in counts)
 
     def test_counts_match_distribution(self, simple_cut_pair):
-        qc, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
+        qc, spec, _ = simple_cut_pair
+        data = exact_tree_data(pair_tree(qc, spec))
         counts = reconstruct_counts(data, shots=100_000)
         truth = simulate_statevector(qc).probabilities()
         from repro.sim.sampler import counts_to_probs

@@ -11,23 +11,19 @@ import pytest
 
 from repro.backends import IdealBackend
 from repro.circuits import Circuit
-from repro.core import (
-    cut_and_run,
-    find_golden_bases_analytic,
-    normalize_golden_map,
-)
+from repro.core import cut_and_run, normalize_golden_map
 from repro.core.costs import cost_report
 from repro.core.neglect import (
     reduced_bases,
     reduced_init_tuples,
     reduced_setting_tuples,
 )
-from repro.cutting import CutPoint, CutSpec, bipartition
-from repro.cutting.execution import exact_fragment_data
-from repro.cutting.reconstruction import reconstruct_distribution
+from repro.cutting import CutPoint, CutSpec
 from repro.exceptions import CutError
 from repro.metrics import total_variation
 from repro.sim import simulate_statevector
+
+from tests.helpers import exact_pair_probs, pair_tree, root_golden_bases
 
 
 def _xy_golden_circuit():
@@ -99,40 +95,21 @@ class TestReducedSets:
 class TestExactness:
     def test_xy_golden_detected(self):
         qc, spec = _xy_golden_circuit()
-        pair = bipartition(qc, spec)
-        found = find_golden_bases_analytic(pair)
+        found = root_golden_bases(pair_tree(qc, spec))
         assert set(found[0]) >= {"X", "Y"}
 
     def test_xy_reduced_reconstruction_exact(self):
         qc, spec = _xy_golden_circuit()
-        pair = bipartition(qc, spec)
-        golden = {0: ("X", "Y")}
-        data = exact_fragment_data(
-            pair,
-            settings=reduced_setting_tuples(1, golden),
-            inits=reduced_init_tuples(1, golden),
-        )
-        p = reconstruct_distribution(
-            data, bases=reduced_bases(1, golden), postprocess="raw"
-        )
+        p = exact_pair_probs(qc, spec, golden={0: ("X", "Y")})
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 
     def test_product_zero_cut_is_exactly_xy_golden(self):
         """The finder reports exactly {X, Y}: Z carries the population bit."""
         qc, spec = _product_zero_circuit()
-        pair = bipartition(qc, spec)
-        found = find_golden_bases_analytic(pair)
+        found = root_golden_bases(pair_tree(qc, spec))
         assert set(found[0]) == {"X", "Y"}
-        golden = {0: tuple(found[0])}
-        data = exact_fragment_data(
-            pair,
-            settings=reduced_setting_tuples(1, golden),
-            inits=reduced_init_tuples(1, golden),
-        )
-        p = reconstruct_distribution(
-            data, bases=reduced_bases(1, golden), postprocess="raw"
-        )
+        p = exact_pair_probs(qc, spec, golden={0: tuple(found[0])})
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=1e-9)
 

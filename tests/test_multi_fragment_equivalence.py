@@ -13,7 +13,7 @@ pure performance change:
 * the noisy chain fast path has to reproduce per-variant circuit execution
   bit-identically (counts, clock, metadata) while the cache pool performs
   exactly one body transpile per fragment;
-* a two-fragment chain must agree with the established pair path.
+* a two-fragment chain must agree with the pair viewed as a chain.
 """
 
 import numpy as np
@@ -30,16 +30,12 @@ from repro.cutting import bipartition, chain_from_pair, partition_chain
 from repro.cutting.execution import (
     _split_joint_probs,
     exact_chain_data,
-    exact_fragment_data,
     run_chain_fragments,
 )
 from repro.cutting.reconstruction import (
     build_chain_fragment_tensor,
-    build_chain_fragment_tensor_reference,
     project_to_simplex,
     reconstruct_chain_distribution,
-    reconstruct_chain_distribution_reference,
-    reconstruct_distribution,
 )
 from repro.cutting.variants import chain_variant_tuples
 from repro.harness.scaling import chain_cut_circuit
@@ -53,6 +49,11 @@ from repro.noise.readout import ReadoutError
 from repro.sim import simulate_statevector
 from repro.transpile.coupling import CouplingMap
 from repro.utils.rng import as_generator, derive_rng
+
+from tests.oracles import (
+    build_chain_fragment_tensor_reference,
+    reconstruct_chain_distribution_reference,
+)
 
 TOL = 1e-9
 
@@ -202,12 +203,12 @@ class TestChainExactness:
         truth = simulate_statevector(qc).probabilities()
         np.testing.assert_allclose(p, truth, atol=TOL)
 
-    def test_two_fragment_chain_matches_pair_path(self):
+    def test_two_fragment_chain_matches_pair_view(self):
         qc, specs = chain_cut_circuit(2, 2, fresh_per_fragment=2, depth=2, seed=61)
         pair = bipartition(qc, specs[0])
         chain = partition_chain(qc, specs)
-        p_pair = reconstruct_distribution(
-            exact_fragment_data(pair), postprocess="raw"
+        p_pair = reconstruct_chain_distribution(
+            exact_chain_data(chain_from_pair(pair)), postprocess="raw"
         )
         p_chain = reconstruct_chain_distribution(
             exact_chain_data(chain), postprocess="raw"
@@ -420,46 +421,6 @@ class TestChainVariance:
         var = chain_reconstruction_variance(exact_chain_data(chain))
         assert var.shape == (1 << len(chain.output_order()),)
         np.testing.assert_array_equal(var, 0.0)
-
-    def test_two_fragment_chain_matches_pair_model_to_first_order(self):
-        """On N = 2 the chain model is the pair model minus its second-order
-        Var·Var cross term: chain ≤ pair, and the gap is O(1/shots²)."""
-        from repro.cutting.execution import run_fragments
-        from repro.cutting.variance import (
-            chain_reconstruction_variance,
-            reconstruction_variance,
-        )
-        from repro.cutting.variants import chain_variant_tuples
-
-        qc, specs = chain_cut_circuit(
-            2, 1, fresh_per_fragment=2, depth=2, seed=92
-        )
-        pair = bipartition(qc, specs[0])
-        chain = partition_chain(qc, specs)
-        shots = 500
-        pair_data = run_fragments(pair, IdealBackend(), shots=shots, seed=4)
-        # mirror the pair records into chain records so both models see the
-        # same empirical data
-        records = [
-            {
-                ((), s): pair_data.upstream[s]
-                for s in pair_data.upstream_settings()
-            },
-            {
-                (i, ()): pair_data.downstream[i].reshape(-1, 1)
-                for i in pair_data.downstream_inits()
-            },
-        ]
-        from repro.cutting.execution import ChainFragmentData
-
-        chain_data = ChainFragmentData(
-            chain=chain, records=records, shots_per_variant=shots
-        )
-        v_chain = chain_reconstruction_variance(chain_data)
-        v_pair = reconstruction_variance(pair_data)
-        assert np.all(v_chain <= v_pair + 1e-15)
-        # dropped cross term is second order: tiny relative to the total
-        assert np.abs(v_pair - v_chain).max() <= 0.05 * v_pair.max() + 1e-12
 
     def test_prediction_tracks_empirical_variance(self):
         """The delta-method prediction tracks the true sampling variance of

@@ -1,30 +1,26 @@
 """Equivalence of the noisy fragment cache against per-variant execution.
 
-:class:`repro.cutting.noisy_cache.NoisyFragmentSimCache` must be a pure
-performance change: every distribution the fake-hardware fast path serves
-has to match transpiling and density-evolving each physical variant circuit
-from scratch (the per-variant ``_execute`` reference semantics) to ≤ 1e-9 —
-across random circuits, ``K ∈ {1, 2, 3}``, full and reduced/neglected
-variant pools, trivial and depolarizing+amplitude-damping noise, and with
-readout error on and off.  The cost side of the contract is pinned too:
-exactly one transpile per fragment body and ``1 + 4^K`` noisy body
-evolutions per (pair, device), no matter how many variants are served.
+:class:`repro.cutting.noisy_cache.NoisyTreeFragmentSimCache` must be a
+pure performance change: every distribution the fake-hardware fast path
+serves has to match transpiling and density-evolving each physical variant
+circuit from scratch (the per-variant ``_execute`` reference semantics) to
+≤ 1e-9 — across random single-cut circuits (the 2-node tree), ``K ∈ {1, 2,
+3}``, full and reduced/neglected variant pools, trivial and
+depolarizing+amplitude-damping noise, and with readout error on and off.
+The cost side of the contract is pinned too: exactly one transpile per
+fragment body, one body evolution at the measuring root and ``4^K`` at the
+preparing leaf, no matter how many variants are served.
 """
 
 import numpy as np
 import pytest
 
 from repro.backends.fake_hardware import FakeHardwareBackend
-from repro.core.neglect import reduced_init_tuples, reduced_setting_tuples
+from repro.backends.base import Backend
+from repro.core.neglect import tree_reduced_variants
 from repro.core.pipeline import cut_and_run
-from repro.cutting import NoisyFragmentSimCache, bipartition
-from repro.cutting.execution import run_fragments
-from repro.cutting.variants import (
-    downstream_init_tuples,
-    downstream_variant,
-    upstream_setting_tuples,
-    upstream_variant,
-)
+from repro.cutting.execution import _split_joint_probs, run_tree_fragments
+from repro.cutting.variants import tree_variant, tree_variant_tuples
 from repro.noise.kraus import (
     amplitude_damping,
     depolarizing,
@@ -32,11 +28,13 @@ from repro.noise.kraus import (
 )
 from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError, apply_readout_error
-from repro.parallel import run_fragments_parallel
+from repro.parallel import run_tree_fragments_parallel
 from repro.transpile.coupling import CouplingMap
 from repro.transpile.pipeline import transpile
 from repro.utils.bits import marginalize_probs, permute_probability_axes
 from test_fast_path_equivalence import random_cut_circuit
+
+from tests.helpers import pair_tree
 
 TOL = 1e-9
 
@@ -90,162 +88,133 @@ def reference_variant_probs(dev: FakeHardwareBackend, circuit) -> np.ndarray:
     return probs
 
 
-def pair_for(K: int, seed: int):
+def tree_for(K: int, seed: int):
     qc, spec = random_cut_circuit(K, seed)
-    return bipartition(qc, spec)
+    return pair_tree(qc, spec)
+
+
+def full_variants(tree):
+    return [tree_variant_tuples(tree, i) for i in range(tree.num_fragments)]
+
+
+def assert_pool_matches_reference(dev, tree, variants):
+    pool = dev.make_tree_cache_pool(tree)
+    for i, combos in enumerate(variants):
+        for a, s in combos:
+            ref = reference_variant_probs(dev, tree_variant(tree, i, a, s))
+            np.testing.assert_allclose(
+                pool[i].probabilities(a, s), ref, atol=TOL
+            )
 
 
 class TestCacheMatchesPerVariantExecution:
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("config", NOISE_CONFIGS)
     def test_full_variant_pools(self, K, config):
-        pair = pair_for(K, 1100 + K)
-        dev = make_device(config)
-        cache = dev.make_variant_cache(pair)
-        for s in upstream_setting_tuples(K):
-            ref = reference_variant_probs(dev, upstream_variant(pair, s))
-            np.testing.assert_allclose(
-                cache.upstream_probabilities(s), ref, atol=TOL
-            )
-        for i in downstream_init_tuples(K):
-            ref = reference_variant_probs(dev, downstream_variant(pair, i))
-            np.testing.assert_allclose(
-                cache.downstream_probabilities(i), ref, atol=TOL
-            )
+        tree = tree_for(K, 1100 + K)
+        assert_pool_matches_reference(make_device(config), tree, full_variants(tree))
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("config", ["gates+readout"])
     def test_reduced_and_neglected_pools(self, K, config):
         """Golden pipelines pass reduced pools; the cache must serve them."""
-        pair = pair_for(K, 1200 + K)
+        tree = tree_for(K, 1200 + K)
         golden = {0: "Y"} if K == 1 else {0: "Y", K - 1: ("X", "Z")}
-        dev = make_device(config)
-        cache = dev.make_variant_cache(pair)
-        for s in reduced_setting_tuples(K, golden):
-            ref = reference_variant_probs(dev, upstream_variant(pair, s))
-            np.testing.assert_allclose(
-                cache.upstream_probabilities(s), ref, atol=TOL
-            )
-        for i in reduced_init_tuples(K, golden):
-            ref = reference_variant_probs(dev, downstream_variant(pair, i))
-            np.testing.assert_allclose(
-                cache.downstream_probabilities(i), ref, atol=TOL
-            )
+        _, variants = tree_reduced_variants(tree, [golden])
+        assert_pool_matches_reference(make_device(config), tree, variants)
 
     @pytest.mark.parametrize("config", NOISE_CONFIGS)
     def test_routed_topology(self, config):
         """SWAP insertion and layout permutation survive the factorisation."""
-        K = 2
-        pair = pair_for(K, 1300 + K)
+        tree = tree_for(2, 1302)
         dev = make_device(config, topology="t_shape")
-        cache = dev.make_variant_cache(pair)
-        for s in upstream_setting_tuples(K):
-            ref = reference_variant_probs(dev, upstream_variant(pair, s))
-            np.testing.assert_allclose(
-                cache.upstream_probabilities(s), ref, atol=TOL
-            )
-        for i in downstream_init_tuples(K):
-            ref = reference_variant_probs(dev, downstream_variant(pair, i))
-            np.testing.assert_allclose(
-                cache.downstream_probabilities(i), ref, atol=TOL
-            )
+        assert_pool_matches_reference(dev, tree, full_variants(tree))
 
     def test_physical_circuits_match_transpile(self):
         """The cache's assembled physical circuits equal a fresh transpile,
         instruction for instruction — the invariant behind one-transpile."""
-        K = 2
-        pair = pair_for(K, 1400 + K)
+        tree = tree_for(2, 1402)
         dev = make_device("gates", topology="t_shape")
-        cache = dev.make_variant_cache(pair)
-        variants = [
-            (cache.upstream_physical(s), upstream_variant(pair, s))
-            for s in upstream_setting_tuples(K)
-        ] + [
-            (cache.downstream_physical(i), downstream_variant(pair, i))
-            for i in downstream_init_tuples(K)
-        ]
-        for assembled, logical in variants:
-            physical, _ = transpile(logical, dev.coupling)
-            assert len(assembled) == len(physical)
-            for a, b in zip(assembled, physical):
-                assert a.name == b.name
-                assert a.qubits == b.qubits
-                assert a.params == pytest.approx(b.params, abs=1e-12)
+        pool = dev.make_tree_cache_pool(tree)
+        for i, combos in enumerate(full_variants(tree)):
+            for a, s in combos:
+                assembled = pool[i].physical(a, s)
+                physical, _ = transpile(tree_variant(tree, i, a, s), dev.coupling)
+                assert len(assembled) == len(physical)
+                for x, y in zip(assembled, physical):
+                    assert x.name == y.name
+                    assert x.qubits == y.qubits
+                    assert x.params == pytest.approx(y.params, abs=1e-12)
 
 
-class TestRunVariantsFastPath:
+class TestRunTreeVariantsFastPath:
     def test_counts_and_clock_identical_to_execution(self):
         """Same RNG streams + same distributions ⇒ identical counts, and the
         timing model charges exactly what per-variant jobs would."""
-        K = 2
-        pair = pair_for(K, 1500 + K)
-        settings = upstream_setting_tuples(K)
-        inits = downstream_init_tuples(K)
+        tree = tree_for(2, 1502)
         fast_dev = make_device("gates+readout")
-        fast = fast_dev.run_variants(pair, settings, inits, shots=4000, seed=17)
         ref_dev = make_device("gates+readout")
-        circuits = [upstream_variant(pair, s) for s in settings] + [
-            downstream_variant(pair, i) for i in inits
-        ]
-        ref = ref_dev.run(circuits, shots=4000, seed=17)
-        assert len(fast) == len(ref)
-        for f, r in zip(fast, ref):
-            assert f.counts == r.counts
-            assert f.shots == r.shots
-            assert f.num_qubits == r.num_qubits
-            assert f.seconds == pytest.approx(r.seconds, rel=1e-12)
-            assert f.metadata["transpiled_ops"] == r.metadata["transpiled_ops"]
-            assert f.metadata["layout"] == r.metadata["layout"]
+        for i, combos in enumerate(full_variants(tree)):
+            fast = fast_dev.run_tree_variants(tree, i, combos, shots=4000, seed=17)
+            ref = Backend.run_tree_variants(
+                ref_dev, tree, i, combos, shots=4000, seed=17
+            )
+            assert len(fast) == len(ref)
+            for f, r in zip(fast, ref):
+                assert f.counts == r.counts
+                assert f.shots == r.shots
+                assert f.num_qubits == r.num_qubits
+                assert f.seconds == pytest.approx(r.seconds, rel=1e-12)
+                assert f.metadata["transpiled_ops"] == r.metadata["transpiled_ops"]
+                assert f.metadata["layout"] == r.metadata["layout"]
         assert fast_dev.clock.now == pytest.approx(ref_dev.clock.now, rel=1e-12)
         # the virtual-clock ledger labels must match per-variant jobs too
         assert [lbl for lbl, _ in fast_dev.clock.log] == [
             lbl for lbl, _ in ref_dev.clock.log
         ]
 
-    def test_run_fragments_uses_fast_path(self):
-        """run_fragments on fake hardware == per-variant circuit submission."""
-        K = 1
-        pair = pair_for(K, 1600 + K)
-        dev = make_device("gates")
-        data = run_fragments(pair, dev, shots=2000, seed=5)
-        ref_dev = make_device("gates")
-        settings = upstream_setting_tuples(K)
-        inits = downstream_init_tuples(K)
-        circuits = [upstream_variant(pair, s) for s in settings] + [
-            downstream_variant(pair, i) for i in inits
-        ]
-        results = ref_dev.run(circuits, shots=2000, seed=5)
-        from repro.cutting.execution import _split_upstream_probs
+    def test_run_tree_fragments_uses_fast_path(self):
+        """run_tree_fragments on fake hardware == per-variant submission."""
+        from repro.utils.rng import as_generator, derive_rng
 
-        for s, res in zip(settings, results[: len(settings)]):
-            np.testing.assert_allclose(
-                data.upstream[s],
-                _split_upstream_probs(res.probabilities(), pair),
-                atol=TOL,
+        tree = tree_for(1, 1601)
+        data = run_tree_fragments(tree, make_device("gates"), shots=2000, seed=5)
+        ref_dev = make_device("gates")
+        rng = as_generator(5)
+        for i, combos in enumerate(full_variants(tree)):
+            frag = tree.fragments[i]
+            # the per-fragment stream run_tree_fragments derives
+            results = Backend.run_tree_variants(
+                ref_dev, tree, i, combos, shots=2000, seed=derive_rng(rng, 0x60 + i)
             )
-        for i, res in zip(inits, results[len(settings) :]):
-            np.testing.assert_allclose(
-                data.downstream[i], res.probabilities(), atol=TOL
-            )
+            for combo, res in zip(combos, results):
+                np.testing.assert_allclose(
+                    data.records[i][combo],
+                    _split_joint_probs(
+                        res.probabilities(), frag.out_local, frag.cut_local
+                    ),
+                    atol=TOL,
+                )
 
     def test_parallel_matches_serial_and_shares_cache(self):
-        K = 2
-        pair = pair_for(K, 1700 + K)
+        tree = tree_for(2, 1702)
         factory = lambda: make_device("gates+readout")  # noqa: E731
-        a = run_fragments_parallel(
-            pair, factory, shots=500, seed=3, max_workers=4, mode="thread"
+        a = run_tree_fragments_parallel(
+            tree, factory, shots=500, seed=3, max_workers=4, mode="thread"
         )
-        b = run_fragments_parallel(pair, factory, shots=500, seed=3, mode="serial")
-        assert set(a.upstream) == set(b.upstream)
-        for k in a.upstream:
-            np.testing.assert_array_equal(a.upstream[k], b.upstream[k])
-        for k in a.downstream:
-            np.testing.assert_array_equal(a.downstream[k], b.downstream[k])
+        b = run_tree_fragments_parallel(
+            tree, factory, shots=500, seed=3, mode="serial"
+        )
+        for ra, rb in zip(a.records, b.records):
+            assert set(ra) == set(rb)
+            for k in ra:
+                np.testing.assert_array_equal(ra[k], rb[k])
         assert a.metadata["cached"]
 
 
 class TestSimCallCounts:
-    """The ``2 transpiles + (1 + 4^K) evolutions`` law, however many variants."""
+    """One transpile per fragment body and ``1 + 4^K`` body evolutions,
+    however many variants are served."""
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_full_pools_hit_the_law(self, K, monkeypatch):
@@ -256,35 +225,20 @@ class TestSimCallCounts:
         monkeypatch.setattr(
             nc, "transpile", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        pair = pair_for(K, 1800 + K)
+        tree = tree_for(K, 1800 + K)
         dev = make_device("gates+readout")
-        cache = dev.make_variant_cache(pair)
-        dev.run_variants(
-            pair,
-            upstream_setting_tuples(K),
-            downstream_init_tuples(K),
-            shots=100,
-            seed=0,
-            cache=cache,
-        )
+        pool = dev.make_tree_cache_pool(tree)
+        run_tree_fragments(tree, dev, shots=100, seed=0, pool=pool)
         assert len(calls) == 2  # one per fragment body
-        assert cache.stats == {
-            "transpiles": 2,
-            "up_evolutions": 1,
-            "down_columns": 4**K,
-        }
+        assert [c.stats for c in pool] == [
+            {"transpiles": 1, "body_evolutions": 1, "rotation_evolutions": 3**K},
+            {"transpiles": 1, "body_evolutions": 4**K, "rotation_evolutions": 0},
+        ]
         # serving the same pools again costs nothing new
-        dev.run_variants(
-            pair,
-            upstream_setting_tuples(K),
-            downstream_init_tuples(K),
-            shots=100,
-            seed=1,
-            cache=cache,
-        )
+        run_tree_fragments(tree, dev, shots=100, seed=1, pool=pool)
         assert len(calls) == 2
-        assert cache.stats["up_evolutions"] == 1
-        assert cache.stats["down_columns"] == 4**K
+        assert pool[0].stats["body_evolutions"] == 1
+        assert pool[1].stats["body_evolutions"] == 4**K
 
     def test_cut_and_run_shares_one_cache_across_stages(self, monkeypatch):
         """Pilot detection + production execution = still one transpile per
@@ -406,10 +360,10 @@ class TestPreparationNoiseIsExact:
         own noise: coefficients rebuild the exact noisy 2×2 state."""
         from repro.cutting.noisy_cache import HERMITIAN_BASIS_STATES
 
-        pair = pair_for(1, 1900)
+        tree = tree_for(1, 1900)
         dev = make_device("gates")
-        cache = dev.make_variant_cache(pair)
-        q = pair.down_cut_local[0]
+        cache = dev.make_tree_cache_pool(tree)[1]
+        q = tree.fragments[1].prep_local[0]
         for code in ("Z+", "Z-", "X+", "X-", "Y+", "Y-"):
             c = cache._prep_coefficients(code, q)
             rebuilt = sum(

@@ -5,12 +5,12 @@ import pytest
 
 from repro.backends import IdealBackend
 from repro.circuits import Circuit, random_circuit
-from repro.cutting import bipartition
+from repro.cutting import bipartition, partition_tree
 from repro.cutting.pauli_cut import (
     cut_pauli_expectation,
     cut_pauli_sum_expectation,
-    fragment_diagonals,
-    rotated_fragment_pair,
+    observable_diagonal,
+    rotated_circuit,
 )
 from repro.exceptions import ReproError
 from repro.linalg.paulis import PauliString
@@ -30,43 +30,41 @@ def workload():
 _SHOTS = 200_000
 
 
-class TestRotatedPair:
+class TestRotatedCircuit:
     def test_rotations_only_on_output_wires(self, workload):
-        _, _, pair = workload
+        qc, spec, _ = workload
         obs = PauliString.from_label("XYZI")
-        rot = rotated_fragment_pair(pair, obs)
-        extra_up = len(rot.upstream) - len(pair.upstream)
-        extra_down = len(rot.downstream) - len(pair.downstream)
-        # upstream output = qubit 0 (X -> 1 gate); downstream outputs
-        # qubits 1,2,3 (Y -> 2 gates, Z/I -> none)
-        assert extra_up == 1
-        assert extra_down == 2
+        plain = partition_tree(qc, [spec])
+        rot = partition_tree(rotated_circuit(qc, obs), [spec])
+        extra = [
+            len(r.circuit) - len(p.circuit)
+            for r, p in zip(rot.fragments, plain.fragments)
+        ]
+        # measuring-fragment output = qubit 0 (X -> 1 gate); preparing
+        # fragment outputs qubits 1,2,3 (Y -> 2 gates, Z/I -> none)
+        assert extra == [1, 2]
         # cut wires untouched: none of the appended gates acts on them
-        for inst in rot.upstream.instructions[len(pair.upstream):]:
-            assert inst.qubits[0] not in rot.up_cut_local
+        root = rot.fragments[0]
+        for inst in root.circuit.instructions[len(plain.fragments[0].circuit):]:
+            assert inst.qubits[0] not in root.cut_local
 
     def test_width_mismatch(self, workload):
-        _, _, pair = workload
+        qc, _, _ = workload
         with pytest.raises(ReproError):
-            rotated_fragment_pair(pair, PauliString.from_label("XX"))
+            rotated_circuit(qc, PauliString.from_label("XX"))
 
-    def test_diagonals_shapes(self, workload):
-        _, _, pair = workload
-        obs = PauliString.from_label("ZXYI")
-        d1, d2 = fragment_diagonals(pair, obs)
-        assert d1.shape == (1 << pair.n_up_out,)
-        assert d2.shape == (1 << pair.n_down,)
+    def test_diagonal_shape(self, workload):
+        qc, _, _ = workload
+        d = observable_diagonal(PauliString.from_label("ZXYI"))
+        assert d.shape == (1 << qc.num_qubits,)
 
-    def test_phase_goes_upstream(self, workload):
-        _, _, pair = workload
-        obs = PauliString.from_label("ZIII", phase=-3.0)
-        d1, _ = fragment_diagonals(pair, obs)
-        assert d1.max() == pytest.approx(3.0)
+    def test_phase_scales_diagonal(self):
+        d = observable_diagonal(PauliString.from_label("ZIII", phase=-3.0))
+        assert d.max() == pytest.approx(3.0)
 
-    def test_imaginary_phase_rejected(self, workload):
-        _, _, pair = workload
+    def test_imaginary_phase_rejected(self):
         with pytest.raises(ReproError):
-            fragment_diagonals(pair, PauliString.from_label("ZIII", phase=1j))
+            observable_diagonal(PauliString.from_label("ZIII", phase=1j))
 
 
 class TestPauliExpectation:

@@ -11,20 +11,18 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.circuits import Circuit, random_circuit
-from repro.cutting import bipartition
-from repro.cutting.execution import exact_fragment_data
-from repro.cutting.reconstruction import project_to_simplex, reconstruct_distribution
-from repro.core.golden import find_golden_bases_analytic
-from repro.core.neglect import (
-    reduced_bases,
-    reduced_init_tuples,
-    reduced_setting_tuples,
-)
+from repro.cutting.reconstruction import project_to_simplex
 from repro.linalg.paulis import PauliString
 from repro.sim import circuit_unitary, simulate_statevector
 from repro.transpile import decompose_to_basis
 
-from tests.helpers import phase_equal, two_block_circuit
+from tests.helpers import (
+    exact_pair_probs,
+    pair_tree,
+    phase_equal,
+    root_golden_bases,
+    two_block_circuit,
+)
 
 _slow = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -40,9 +38,7 @@ _slow = settings(
 @given(seed=st.integers(0, 10_000), depth=st.integers(1, 4))
 def test_cut_reconstruction_exact_single_cut(seed, depth):
     qc, spec = two_block_circuit(4, [0, 1], [1, 2, 3], depth=depth, seed=seed)
-    pair = bipartition(qc, spec)
-    data = exact_fragment_data(pair)
-    p = reconstruct_distribution(data, postprocess="raw")
+    p = exact_pair_probs(qc, spec)
     truth = simulate_statevector(qc).probabilities()
     np.testing.assert_allclose(p, truth, atol=1e-8)
 
@@ -51,9 +47,7 @@ def test_cut_reconstruction_exact_single_cut(seed, depth):
 @given(seed=st.integers(0, 10_000))
 def test_cut_reconstruction_exact_two_cuts(seed):
     qc, spec = two_block_circuit(4, [0, 1, 2], [1, 2, 3], depth=2, seed=seed)
-    pair = bipartition(qc, spec)
-    data = exact_fragment_data(pair)
-    p = reconstruct_distribution(data, postprocess="raw")
+    p = exact_pair_probs(qc, spec)
     truth = simulate_statevector(qc).probabilities()
     np.testing.assert_allclose(p, truth, atol=1e-8)
 
@@ -65,19 +59,11 @@ def test_golden_neglect_never_changes_exact_result(seed):
     qc, spec = two_block_circuit(
         4, [0, 1], [1, 2, 3], depth=2, seed=seed, real_upstream=True
     )
-    pair = bipartition(qc, spec)
-    found = find_golden_bases_analytic(pair)
+    found = root_golden_bases(pair_tree(qc, spec))
     golden = {k: bs[0] for k, bs in found.items() if bs}
     if not golden:
         return  # nothing to neglect for this draw
-    data = exact_fragment_data(
-        pair,
-        settings=reduced_setting_tuples(pair.num_cuts, golden),
-        inits=reduced_init_tuples(pair.num_cuts, golden),
-    )
-    p = reconstruct_distribution(
-        data, bases=reduced_bases(pair.num_cuts, golden), postprocess="raw"
-    )
+    p = exact_pair_probs(qc, spec, golden=golden)
     truth = simulate_statevector(qc).probabilities()
     np.testing.assert_allclose(p, truth, atol=1e-8)
 

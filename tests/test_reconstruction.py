@@ -2,182 +2,154 @@
 
 The key integration invariant: for *exact* fragment data, the reconstructed
 distribution equals the uncut circuit's distribution to machine precision,
-for any number of cuts and any circuit family.
+for any number of cuts and any circuit family.  The single cut is the
+2-node fragment tree.
 """
 
 import numpy as np
 import pytest
 
-from repro.cutting import bipartition
-from repro.cutting.execution import exact_fragment_data, run_fragments
+from repro.cutting import exact_tree_data, run_tree_fragments
 from repro.cutting.reconstruction import (
-    FULL_BASES,
-    build_downstream_tensor,
-    build_upstream_tensor,
+    build_tree_fragment_tensor,
     project_to_simplex,
-    reconstruct_distribution,
-    reconstruct_expectation,
+    reconstruct_tree_distribution,
 )
 from repro.backends import IdealBackend
 from repro.exceptions import ReconstructionError
 from repro.metrics import total_variation
-from repro.observables import DiagonalObservable, split_diagonal_observable
+from repro.observables import DiagonalObservable, all_bitstring_projectors
 from repro.sim import simulate_statevector
 
-from tests.helpers import two_block_circuit
+from tests.helpers import exact_pair_probs, pair_tree, two_block_circuit
 
 
 class TestExactReconstruction:
     @pytest.mark.parametrize("seed", range(6))
     def test_single_cut_matches_truth(self, seed):
         qc, spec = two_block_circuit(4, [0, 1], [1, 2, 3], seed=seed)
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
         truth = simulate_statevector(qc).probabilities()
-        np.testing.assert_allclose(p, truth, atol=1e-9)
+        np.testing.assert_allclose(exact_pair_probs(qc, spec), truth, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_cuts_match_truth(self, seed):
         qc, spec = two_block_circuit(5, [0, 1, 2], [1, 2, 3, 4], seed=seed + 10)
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
         truth = simulate_statevector(qc).probabilities()
-        np.testing.assert_allclose(p, truth, atol=1e-9)
+        np.testing.assert_allclose(exact_pair_probs(qc, spec), truth, atol=1e-9)
 
     def test_three_cuts_match_truth(self):
         qc, spec = two_block_circuit(6, [0, 1, 2, 3], [1, 2, 3, 4, 5], seed=3)
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
         truth = simulate_statevector(qc).probabilities()
-        np.testing.assert_allclose(p, truth, atol=1e-9)
+        np.testing.assert_allclose(exact_pair_probs(qc, spec), truth, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unbalanced_fragments(self, seed):
         qc, spec = two_block_circuit(5, [0, 1, 2, 3], [3, 4], seed=seed + 30)
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
         truth = simulate_statevector(qc).probabilities()
-        np.testing.assert_allclose(p, truth, atol=1e-9)
+        np.testing.assert_allclose(exact_pair_probs(qc, spec), truth, atol=1e-9)
 
     def test_real_upstream_family(self):
         qc, spec = two_block_circuit(
             4, [0, 1], [1, 2, 3], seed=5, real_upstream=True
         )
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
-        p = reconstruct_distribution(data, postprocess="raw")
         truth = simulate_statevector(qc).probabilities()
-        np.testing.assert_allclose(p, truth, atol=1e-9)
+        np.testing.assert_allclose(exact_pair_probs(qc, spec), truth, atol=1e-9)
 
 
 class TestExpectationReconstruction:
     @pytest.mark.parametrize("seed", range(3))
     def test_parity(self, seed):
         qc, spec = two_block_circuit(4, [0, 1], [1, 2, 3], seed=seed + 50)
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
         obs = DiagonalObservable.parity(4)
-        d1, d2 = split_diagonal_observable(
-            obs, pair.up_out_original, pair.down_out_original
-        )
-        e = reconstruct_expectation(data, d1, d2)
+        e = obs.expectation(exact_pair_probs(qc, spec))
         truth = obs.expectation(simulate_statevector(qc).probabilities())
         assert np.isclose(e, truth, atol=1e-9)
 
     def test_projector_expectations_sum_to_one(self):
         qc, spec = two_block_circuit(3, [0, 1], [1, 2], seed=8)
-        pair = bipartition(qc, spec)
-        data = exact_fragment_data(pair)
-        from repro.observables import all_bitstring_projectors
-
-        total = 0.0
-        for proj in all_bitstring_projectors(3):
-            d1, d2 = split_diagonal_observable(
-                proj, pair.up_out_original, pair.down_out_original
-            )
-            total += reconstruct_expectation(data, d1, d2)
+        p = exact_pair_probs(qc, spec)
+        total = sum(proj.expectation(p) for proj in all_bitstring_projectors(3))
         assert np.isclose(total, 1.0, atol=1e-9)
-
-    def test_shape_validation(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
-        with pytest.raises(ReconstructionError):
-            reconstruct_expectation(data, np.zeros(3), np.zeros(4))
 
 
 class TestTensors:
-    def test_upstream_tensor_identity_row_is_marginal(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
-        A, rows = build_upstream_tensor(data)
-        i_row = A[rows.index(("I",))]
+    def test_measuring_identity_row_is_marginal(self, simple_cut_pair):
+        qc, spec, _ = simple_cut_pair
+        data = exact_tree_data(pair_tree(qc, spec))
+        A, _, (rows,) = build_tree_fragment_tensor(data, 0)
+        i_row = A[0, rows.index(("I",))]
         # I row = marginal over the cut outcome = reduced distribution
-        z_joint = data.upstream[("Z",)]
+        z_joint = data.records[0][((), ("Z",))]
         np.testing.assert_allclose(i_row, z_joint.sum(axis=1), atol=1e-12)
 
-    def test_upstream_rows_bounded_by_one(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
-        A, _ = build_upstream_tensor(data)
+    def test_measuring_rows_bounded_by_one(self, simple_cut_pair):
+        qc, spec, _ = simple_cut_pair
+        A = build_tree_fragment_tensor(exact_tree_data(pair_tree(qc, spec)), 0)[0]
         assert np.all(np.abs(A) <= 1.0 + 1e-9)
 
-    def test_downstream_identity_row_sums_inits(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
-        B, rows = build_downstream_tensor(data)
-        i_row = B[rows.index(("I",))]
-        expected = data.downstream[("Z+",)] + data.downstream[("Z-",)]
+    def test_preparing_identity_row_sums_inits(self, simple_cut_pair):
+        qc, spec, _ = simple_cut_pair
+        data = exact_tree_data(pair_tree(qc, spec))
+        B, rows, _ = build_tree_fragment_tensor(data, 1)
+        i_row = B[rows.index(("I",)), :]
+        expected = (
+            data.records[1][(("Z+",), ())] + data.records[1][(("Z-",), ())]
+        ).ravel()
         np.testing.assert_allclose(i_row, expected, atol=1e-12)
 
     def test_missing_setting_raises(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair, settings=[("X",), ("Z",)])
+        qc, spec, _ = simple_cut_pair
+        tree = pair_tree(qc, spec)
+        data = exact_tree_data(tree, variants=[[((), ("X",)), ((), ("Z",))], None])
         with pytest.raises(ReconstructionError):
-            build_upstream_tensor(data)  # Y row unavailable
+            build_tree_fragment_tensor(data, 0)  # Y row unavailable
 
     def test_missing_init_raises(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair, inits=[("Z+",), ("Z-",)])
+        qc, spec, _ = simple_cut_pair
+        tree = pair_tree(qc, spec)
+        data = exact_tree_data(
+            tree, variants=[None, [(("Z+",), ()), (("Z-",), ())]]
+        )
         with pytest.raises(ReconstructionError):
-            build_downstream_tensor(data)
+            build_tree_fragment_tensor(data, 1)
 
     def test_invalid_basis_pool(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
+        qc, spec, _ = simple_cut_pair
+        data = exact_tree_data(pair_tree(qc, spec))
         with pytest.raises(ReconstructionError):
-            build_upstream_tensor(data, bases=[("Q",)])
+            build_tree_fragment_tensor(data, 0, bases=[[("Q",)]])
         with pytest.raises(ReconstructionError):
-            build_upstream_tensor(data, bases=[("I",), ("X",)])  # wrong K
+            build_tree_fragment_tensor(data, 0, bases=[[("I",), ("X",)]])  # wrong K
 
 
 class TestPostprocessing:
+    @staticmethod
+    def _sampled(simple_cut_pair, shots, seed):
+        qc, spec, _ = simple_cut_pair
+        return run_tree_fragments(
+            pair_tree(qc, spec), IdealBackend(), shots=shots, seed=seed
+        )
+
     def test_clip_normalises(self, simple_cut_pair):
-        qc, spec, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=200, seed=0)
-        p = reconstruct_distribution(data, postprocess="clip")
+        data = self._sampled(simple_cut_pair, 200, 0)
+        p = reconstruct_tree_distribution(data, postprocess="clip")
         assert np.all(p >= 0) and np.isclose(p.sum(), 1.0)
 
     def test_simplex_is_distribution(self, simple_cut_pair):
-        qc, spec, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=200, seed=1)
-        p = reconstruct_distribution(data, postprocess="simplex")
+        data = self._sampled(simple_cut_pair, 200, 1)
+        p = reconstruct_tree_distribution(data, postprocess="simplex")
         assert np.all(p >= -1e-12) and np.isclose(p.sum(), 1.0)
 
     def test_raw_can_be_negative_but_sums_to_one(self, simple_cut_pair):
-        qc, spec, pair = simple_cut_pair
-        data = run_fragments(pair, IdealBackend(), shots=100, seed=2)
-        p = reconstruct_distribution(data, postprocess="raw")
+        data = self._sampled(simple_cut_pair, 100, 2)
+        p = reconstruct_tree_distribution(data, postprocess="raw")
         assert np.isclose(p.sum(), 1.0, atol=1e-9)
 
     def test_unknown_mode(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        data = exact_fragment_data(pair)
+        qc, spec, _ = simple_cut_pair
+        data = exact_tree_data(pair_tree(qc, spec))
         with pytest.raises(ReconstructionError):
-            reconstruct_distribution(data, postprocess="magic")
+            reconstruct_tree_distribution(data, postprocess="magic")
 
 
 class TestSimplexProjection:
@@ -207,18 +179,20 @@ class TestSimplexProjection:
 
 class TestFiniteShotConvergence:
     def test_tv_shrinks_with_shots(self, simple_cut_pair):
-        qc, spec, pair = simple_cut_pair
+        qc, spec, _ = simple_cut_pair
+        tree = pair_tree(qc, spec)
         truth = simulate_statevector(qc).probabilities()
         tvs = []
         for shots in (100, 10_000):
-            data = run_fragments(pair, IdealBackend(), shots=shots, seed=42)
-            p = reconstruct_distribution(data, postprocess="clip")
-            tvs.append(total_variation(p, truth))
+            data = run_tree_fragments(tree, IdealBackend(), shots=shots, seed=42)
+            tvs.append(total_variation(reconstruct_tree_distribution(data), truth))
         assert tvs[1] < tvs[0]
 
     def test_high_shot_accuracy(self, simple_cut_pair):
-        qc, spec, pair = simple_cut_pair
+        qc, spec, _ = simple_cut_pair
         truth = simulate_statevector(qc).probabilities()
-        data = run_fragments(pair, IdealBackend(), shots=100_000, seed=3)
-        p = reconstruct_distribution(data, postprocess="clip")
+        data = run_tree_fragments(
+            pair_tree(qc, spec), IdealBackend(), shots=100_000, seed=3
+        )
+        p = reconstruct_tree_distribution(data)
         assert total_variation(p, truth) < 0.01

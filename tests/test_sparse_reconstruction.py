@@ -35,7 +35,6 @@ from repro.cutting.reconstruction import (
     project_to_simplex,
     _postprocess,
     reconstruct_counts,
-    reconstruct_distribution,
     reconstruct_tree_distribution,
 )
 from repro.cutting.sparse import (
@@ -181,6 +180,29 @@ def test_prune_bound_sound_on_finite_shot_data():
     assert tv <= tree_tv_bound(data, prune_bound=sd.prune_bound)
 
 
+@pytest.mark.parametrize("case", ["dag", "fixed-plan-tree"])
+def test_top_k_caps_outcomes_after_final_merge(case):
+    """``top_k(k)`` keeps at most ``k`` outcomes on the network path — the
+    final merge re-selects too — and stays within its bound of dense."""
+    from repro.harness.scaling import dag_cut_circuit
+
+    if case == "dag":
+        qc, specs = dag_cut_circuit([(0, 1), (0, 2), (1, 3), (2, 3)], seed=1)
+        plan, k = None, 4
+    else:
+        qc, specs = tree_cut_circuit(
+            [0, 0, 1, 1], 1, fresh_per_fragment=2, seed=3
+        )
+        plan, k = "fixed", 8
+    data = exact_tree_data(partition_tree(qc, specs))
+    dense = reconstruct_tree_distribution(data, postprocess="raw", plan=plan)
+    sd = reconstruct_tree_distribution(
+        data, postprocess="raw", prune=top_k(k), plan=plan
+    )
+    assert sd.nnz <= k
+    assert np.abs(sd.to_dense() - dense).sum() <= sd.prune_bound + TOL
+
+
 def test_prune_rejects_neglected_identity():
     """Pruning needs the all-I row; a pool without I is rejected loudly."""
     data = _tree_data([0], 3)
@@ -275,23 +297,21 @@ def test_ghz_star_validation():
 
 
 def _pair_data():
+    """Exact data of a single cut — the 2-node tree."""
     from repro.circuits.circuit import Circuit
     from repro.cutting.cut import CutPoint, CutSpec
-    from repro.cutting.execution import exact_fragment_data
-    from repro.cutting.fragments import bipartition
 
     qc = Circuit(3)
     qc.h(0)
     qc.cx(0, 1)
     qc.cx(1, 2)
-    pair = bipartition(qc, CutSpec((CutPoint(1, 1),)))
-    return exact_fragment_data(pair)
+    return exact_tree_data(partition_tree(qc, [CutSpec((CutPoint(1, 1),))]))
 
 
 def test_reconstruct_counts_dense_path_unchanged():
     """seed=None reproduces the historical deterministic rounding exactly."""
     data = _pair_data()
-    probs = reconstruct_distribution(data)
+    probs = reconstruct_tree_distribution(data)
     expected = probs_to_counts(probs, 1000, 3)
     assert reconstruct_counts(data, 1000) == expected
 
@@ -301,7 +321,7 @@ def test_reconstruct_counts_dense_rng_stream():
     from repro.sim.sampler import sample_counts
 
     data = _pair_data()
-    probs = reconstruct_distribution(data)
+    probs = reconstruct_tree_distribution(data)
     g1 = np.random.default_rng(42)
     g2 = np.random.default_rng(42)
     assert reconstruct_counts(data, 500, seed=g1) == sample_counts(
@@ -345,9 +365,10 @@ def test_reconstruct_counts_sparse_matches_sample_sparse_counts():
     assert got == expected
 
 
-def test_reconstruct_counts_rejects_prune_on_pair_data():
-    with pytest.raises(ReconstructionError, match="pair data is dense"):
-        reconstruct_counts(_pair_data(), 100, prune=threshold(1e-3))
+def test_reconstruct_counts_prunes_single_cut_data():
+    """The single cut is a tree like any other: prune= applies to it."""
+    counts = reconstruct_counts(_pair_data(), 100, prune=top_k(2))
+    assert len(counts) <= 2 and sum(counts.values()) == 100
 
 
 def test_sample_sparse_counts_validation():

@@ -43,10 +43,8 @@ from repro.cutting.execution import (
 )
 from repro.cutting.reconstruction import (
     build_tree_fragment_tensor,
-    build_tree_fragment_tensor_reference,
     reconstruct_chain_distribution,
     reconstruct_tree_distribution,
-    reconstruct_tree_distribution_reference,
 )
 from repro.cutting.variants import tree_variant_tuples, upstream_setting_tuples
 from repro.exceptions import CutError
@@ -61,6 +59,11 @@ from repro.noise.readout import ReadoutError
 from repro.sim import simulate_statevector
 from repro.transpile.coupling import CouplingMap
 from repro.utils.rng import as_generator, derive_rng
+
+from tests.oracles import (
+    build_tree_fragment_tensor_reference,
+    reconstruct_tree_distribution_reference,
+)
 
 TOL = 1e-9
 

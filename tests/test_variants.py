@@ -7,14 +7,22 @@ from repro.circuits import Circuit
 from repro.cutting import (
     PREPARATION_STATES,
     downstream_init_tuples,
-    downstream_variant,
+    tree_variant,
     upstream_setting_tuples,
-    upstream_variant,
 )
 from repro.cutting.variants import preparations_for_bases
 from repro.exceptions import CutError
 from repro.linalg.paulis import pauli_eigenpairs
 from repro.sim import simulate_statevector
+
+from tests.helpers import pair_tree
+
+
+@pytest.fixture
+def simple_tree(simple_cut_pair):
+    """The single cut of the shared fixture as its 2-node tree."""
+    qc, spec, _ = simple_cut_pair
+    return pair_tree(qc, spec)
 
 
 def _gates(circuit) -> int:
@@ -71,67 +79,63 @@ class TestSettingTuples:
             upstream_setting_tuples(1, [()])
 
 
-class TestUpstreamVariant:
-    def test_measurement_basis_rotation(self, simple_cut_pair):
+class TestMeasuringVariant:
+    """The root of the single cut: body, fence, terminal rotations."""
+
+    def test_measurement_basis_rotation(self, simple_tree):
         """Measuring the variant in Z == measuring the fragment in `basis`."""
-        _, _, pair = simple_cut_pair
-        base = simulate_statevector(pair.upstream)
+        root = simple_tree.fragments[0]
+        base = simulate_statevector(root.circuit)
+        cut_q = root.cut_local[0]
         for basis in ("X", "Y", "Z"):
-            var = upstream_variant(pair, (basis,))
+            var = tree_variant(simple_tree, 0, (), (basis,))
             probs = simulate_statevector(var).probabilities()
             # exact check: P(cut bit = 0) equals <P_+> of the basis on the
             # untouched fragment state
-            from repro.linalg.paulis import pauli_eigenpairs
-
-            val, ket = pauli_eigenpairs(basis)[0]
+            _, ket = pauli_eigenpairs(basis)[0]
             proj = np.outer(ket, ket.conj())
-            expect = base.expectation(proj, (pair.up_cut_local[0],)).real
-            cut_q = pair.up_cut_local[0]
+            expect = base.expectation(proj, (cut_q,)).real
             p0 = sum(
                 p for i, p in enumerate(probs) if not (i >> cut_q) & 1
             )
             assert np.isclose(p0, expect, atol=1e-10), basis
 
-    def test_z_variant_adds_nothing(self, simple_cut_pair):
+    def test_z_variant_adds_nothing(self, simple_tree):
         """Z appends no rotation gates — only the body/variant fence."""
-        _, _, pair = simple_cut_pair
-        var = upstream_variant(pair, ("Z",))
-        assert _gates(var) == _gates(pair.upstream)
+        var = tree_variant(simple_tree, 0, (), ("Z",))
+        assert _gates(var) == _gates(simple_tree.fragments[0].circuit)
         assert var[-1].name == "barrier"
 
-    def test_wrong_tuple_length(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
+    def test_wrong_tuple_length(self, simple_tree):
         with pytest.raises(CutError):
-            upstream_variant(pair, ("X", "Y"))
+            tree_variant(simple_tree, 0, (), ("X", "Y"))
 
-    def test_invalid_basis(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
+    def test_invalid_basis(self, simple_tree):
         with pytest.raises(CutError):
-            upstream_variant(pair, ("I",))
+            tree_variant(simple_tree, 0, (), ("I",))
 
 
-class TestDownstreamVariant:
-    def test_prep_gates_prepended(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
-        var = downstream_variant(pair, ("Y+",))
-        assert _gates(var) == _gates(pair.downstream) + 2  # h, s
+class TestPreparingVariant:
+    """The leaf of the single cut: preparations, fence, body."""
+
+    def test_prep_gates_prepended(self, simple_tree):
+        leaf = simple_tree.fragments[1]
+        var = tree_variant(simple_tree, 1, ("Y+",), ())
+        assert _gates(var) == _gates(leaf.circuit) + 2  # h, s
         assert var[0].name == "h" and var[1].name == "s"
-        assert var[0].qubits == (pair.down_cut_local[0],)
+        assert var[0].qubits == (leaf.prep_local[0],)
         assert var[2].name == "barrier"  # preps fenced off from the body
 
-    def test_zplus_adds_nothing(self, simple_cut_pair):
+    def test_zplus_adds_nothing(self, simple_tree):
         """Z+ prepends no gates — only the variant/body fence."""
-        _, _, pair = simple_cut_pair
-        var = downstream_variant(pair, ("Z+",))
-        assert _gates(var) == _gates(pair.downstream)
+        var = tree_variant(simple_tree, 1, ("Z+",), ())
+        assert _gates(var) == _gates(simple_tree.fragments[1].circuit)
         assert var[0].name == "barrier"
 
-    def test_invalid_code(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
+    def test_invalid_code(self, simple_tree):
         with pytest.raises(CutError):
-            downstream_variant(pair, ("Q+",))
+            tree_variant(simple_tree, 1, ("Q+",), ())
 
-    def test_wrong_tuple_length(self, simple_cut_pair):
-        _, _, pair = simple_cut_pair
+    def test_wrong_tuple_length(self, simple_tree):
         with pytest.raises(CutError):
-            downstream_variant(pair, ())
+            tree_variant(simple_tree, 1, (), ())
