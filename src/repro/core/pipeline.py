@@ -32,7 +32,7 @@ from repro.core.neglect import normalize_golden_map, tree_reduced_variants
 from repro.circuits.circuit import Circuit
 from repro.cutting.cut import CutSpec, find_cuts
 from repro.cutting.fragments import FragmentPair, bipartition
-from repro.exceptions import CutError
+from repro.exceptions import CutError, ReconstructionError
 from repro.utils.rng import as_generator, derive_rng
 from repro.utils.timing import Stopwatch
 
@@ -48,6 +48,17 @@ __all__ = [
 #: preference order when several bases are golden at one cut — X/Y save
 #: downstream circuit executions, Z only saves upstream settings and terms.
 _BASIS_PRIORITY = ("Y", "X", "Z")
+
+
+def _check_diagonal(diagonal, size: int) -> np.ndarray:
+    """A diagonal observable as a ``(size,)`` array, or a typed error."""
+    diagonal = np.asarray(diagonal)
+    if diagonal.shape != (size,):
+        raise ReconstructionError(
+            f"observable diagonal has shape {diagonal.shape}; the "
+            f"reconstruction has {size} outcomes"
+        )
+    return diagonal
 
 
 @dataclass
@@ -109,7 +120,7 @@ class TreeRunResult:
         """Expectation of a diagonal observable under the reconstruction."""
         from repro.cutting.sparse import SparseDistribution
 
-        diagonal = np.asarray(diagonal)
+        diagonal = _check_diagonal(diagonal, 1 << len(self.tree.output_order()))
         if isinstance(self.probabilities, SparseDistribution):
             return float(
                 np.dot(
@@ -189,7 +200,8 @@ class CutRunResult:
 
     def expectation(self, diagonal: np.ndarray) -> float:
         """Expectation of a diagonal observable under the reconstruction."""
-        return float(np.dot(self.probabilities, np.asarray(diagonal)))
+        diagonal = _check_diagonal(diagonal, len(self.probabilities))
+        return float(np.dot(self.probabilities, diagonal))
 
     def variance(self) -> np.ndarray:
         """Delta-method shot-noise variance of each reconstructed entry."""

@@ -11,6 +11,7 @@ from repro.cutting.reconstruction import reconstruct_tree_distribution
 from repro.cutting.variance import (
     tree_predicted_stddev_tv,
     tree_reconstruction_variance,
+    tree_tv_bound,
 )
 
 from tests.helpers import pair_tree
@@ -69,3 +70,32 @@ class TestVariance:
     def test_predicted_stddev_tv_positive(self, golden_tree):
         _, tree = golden_tree
         assert tree_predicted_stddev_tv(_run(tree, 1000, 12)) > 0.0
+
+    def test_cut_run_view_reports_tree_variance(self, golden_tree):
+        """The single-cut result's variance is the 2-node tree's model,
+        evaluated over the basis pools the run reconstructed from."""
+        from repro.core import cut_and_run
+
+        spec, _ = golden_tree
+        run = cut_and_run(
+            spec.circuit, IdealBackend(), cuts=spec.cut_spec, shots=2000,
+            golden="known", golden_map={0: "Y"}, seed=13,
+        )
+        tree_run = run.tree_run
+        np.testing.assert_array_equal(
+            run.variance(),
+            tree_reconstruction_variance(tree_run.data, bases=tree_run.bases),
+        )
+        assert run.predicted_stddev_tv() == tree_predicted_stddev_tv(
+            tree_run.data, bases=tree_run.bases
+        )
+
+    def test_tv_bound_adds_structural_bounds(self, golden_tree):
+        _, tree = golden_tree
+        data = _run(tree, 1000, 14)
+        base = tree_predicted_stddev_tv(data)
+        assert tree_tv_bound(data) == base
+        assert tree_tv_bound(
+            data, prune_bound=0.01, degradation_bound=0.02
+        ) == pytest.approx(base + 0.03)
+        assert tree_tv_bound(exact_tree_data(tree), prune_bound=0.01) == 0.01

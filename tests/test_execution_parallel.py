@@ -77,6 +77,42 @@ class TestRunTreeFragments:
         assert data.modeled_seconds > 0
         assert np.isclose(data.modeled_seconds, dev.clock.now)
 
+    def test_fragment_variants_list_record_keys(self, simple_tree):
+        _, tree = simple_tree
+        variants = [[((), ("Y",)), ((), ("X",))], [(("X-",), ())]]
+        data = run_tree_fragments(
+            tree, IdealBackend(), shots=50, variants=variants, seed=6
+        )
+        assert data.fragment_variants(0) == variants[0]
+        assert data.fragment_variants(1) == variants[1]
+        assert data.num_variants == 3 and data.total_shots == 150
+
+    def test_variant_list_per_fragment_required(self, simple_tree):
+        _, tree = simple_tree
+        with pytest.raises(CutError):
+            run_tree_fragments(
+                tree, IdealBackend(), shots=10, variants=[None], seed=0
+            )
+        with pytest.raises(CutError):
+            run_tree_fragments(
+                tree, IdealBackend(), shots=10, variants=[None, None], seed=0
+            )
+
+    def test_chain_data_rebadges_tree_data(self, simple_tree):
+        from repro.cutting.execution import ChainFragmentData, TreeFragmentData
+
+        _, tree = simple_tree
+        data = run_tree_fragments(tree, IdealBackend(), shots=100, seed=7)
+        chain = ChainFragmentData._from_tree_data(data)
+        assert isinstance(chain, TreeFragmentData)
+        assert chain.chain is data.tree and chain.records is data.records
+        assert chain.total_shots == data.total_shots
+        assert chain.modeled_seconds == data.modeled_seconds
+        np.testing.assert_array_equal(
+            reconstruct_tree_distribution(chain),
+            reconstruct_tree_distribution(data),
+        )
+
 
 class TestAllocateShots:
     def test_uniform(self):
@@ -200,6 +236,13 @@ class TestParallel:
         )
         assert data.modeled_seconds > 0
         assert data.metadata["parallel"] is True
+
+    def test_parallel_fragments_reject_unknown_mode(self, simple_tree):
+        _, tree = simple_tree
+        with pytest.raises(ValueError):
+            run_tree_fragments_parallel(
+                tree, IdealBackend, shots=100, seed=0, mode="gpu"
+            )
 
 
 class TestChainParallelExecutor:

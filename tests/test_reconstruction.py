@@ -71,6 +71,19 @@ class TestExpectationReconstruction:
         total = sum(proj.expectation(p) for proj in all_bitstring_projectors(3))
         assert np.isclose(total, 1.0, atol=1e-9)
 
+    def test_shape_validation(self, simple_cut_pair):
+        from repro.core import cut_and_run, cut_and_run_tree
+
+        qc, spec, _ = simple_cut_pair
+        pair_run = cut_and_run(qc, IdealBackend(), cuts=spec, shots=500, seed=1)
+        tree_run = cut_and_run_tree(qc, IdealBackend(), [spec], shots=500, seed=1)
+        for run in (pair_run, tree_run):
+            assert run.expectation(np.ones(8)) == pytest.approx(1.0)
+            with pytest.raises(ReconstructionError):
+                run.expectation(np.zeros(4))
+            with pytest.raises(ReconstructionError):
+                run.expectation(np.zeros((8, 1)))
+
 
 class TestTensors:
     def test_measuring_identity_row_is_marginal(self, simple_cut_pair):
