@@ -21,6 +21,7 @@ four operating modes of the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -177,8 +178,6 @@ class CutRunResult:
 
     #: reconstructed output distribution (little-endian over the full register)
     probabilities: np.ndarray
-    #: the bipartition used
-    pair: FragmentPair
     #: golden bases actually exploited, cut index → basis
     golden_used: dict[int, str]
     #: variant/term/shot accounting
@@ -187,12 +186,19 @@ class CutRunResult:
     device_seconds: float
     #: real seconds spent in classical reconstruction
     reconstruction_seconds: float
+    #: the underlying 2-node tree run (fragment records, tree, bounds)
+    tree_run: TreeRunResult = field(repr=False)
+    #: the uncut circuit (bipartitioned on first access to :attr:`pair`)
+    circuit: Circuit = field(repr=False)
     #: pilot-detection metadata (empty unless golden="detect")
     detection: list = field(default_factory=list)
     #: reconstruction basis pools actually used (None = full {I,X,Y,Z}^K)
     bases: "list[tuple[str, ...]] | None" = None
-    #: the underlying 2-node tree run (fragment records, tree, bounds)
-    tree_run: "TreeRunResult | None" = field(default=None, repr=False)
+
+    @cached_property
+    def pair(self) -> FragmentPair:
+        """The bipartition used, in the pair layout."""
+        return bipartition(self.circuit, self.tree_run.tree.specs[0])
 
     @property
     def total_executions(self) -> int:
@@ -791,12 +797,12 @@ def cut_and_run(
     )
     return CutRunResult(
         probabilities=run.probabilities,
-        pair=bipartition(circuit, cuts),
         golden_used=golden_used,
         costs=cost_report(cuts.num_cuts, golden_used, shots_per_variant=shots),
         device_seconds=run.device_seconds,
         reconstruction_seconds=run.reconstruction_seconds,
+        tree_run=run,
+        circuit=circuit,
         detection=run.detection[0] if run.detection else [],
         bases=run.bases[0] if run.bases is not None else None,
-        tree_run=run,
     )

@@ -29,6 +29,7 @@ threads.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,6 +82,24 @@ MEASUREMENT_ROTATIONS: dict[str, "np.ndarray | None"] = {
 for _m in MEASUREMENT_ROTATIONS.values():
     if _m is not None:
         _m.setflags(write=False)
+
+
+@lru_cache(maxsize=4096)
+def _prep_coefficients(inits: tuple[str, ...]) -> np.ndarray:
+    """Expansion of a preparation product state over the ``2^K`` basis
+    columns (entry ``j``: cut ``k`` in computational state bit ``k`` of
+    ``j``); memoised and read-only — every fragment with the same entering
+    codes shares it."""
+    js = np.arange(1 << len(inits))
+    c = np.ones(js.size, dtype=COMPLEX_DTYPE)
+    for k, code in enumerate(inits):
+        try:
+            amp = PREPARATION_AMPLITUDES[code]
+        except KeyError:
+            raise CutError(f"invalid preparation code {code!r}") from None
+        c *= amp[(js >> k) & 1]
+    c.setflags(write=False)
+    return c
 
 
 class TreeFragmentSimCache:
@@ -197,24 +216,18 @@ class TreeFragmentSimCache:
         """Expansion of a preparation product state over the basis columns."""
         if len(inits) != self.fragment.num_prep:
             raise CutError("init tuple length != number of entering cuts")
-        B = 1 << self.fragment.num_prep
-        js = np.arange(B)
-        c = np.ones(B, dtype=COMPLEX_DTYPE)
-        for k, code in enumerate(inits):
-            try:
-                amp = PREPARATION_AMPLITUDES[code]
-            except KeyError:
-                raise CutError(f"invalid preparation code {code!r}") from None
-            c *= amp[(js >> k) & 1]
-        return c
+        return _prep_coefficients(tuple(inits))
 
     # ------------------------------------------------------------------
     def _probs_tensor(
         self, inits: tuple[str, ...], setting: tuple[str, ...]
     ) -> np.ndarray:
         rot = self._rotated_columns(setting)
-        n = self.fragment.num_qubits
-        psi = np.tensordot(rot, self._prep_coefficients(inits), axes=([n], [0]))
+        # one GEMV over the batch axis (what tensordot would run, without
+        # its per-call axis bookkeeping)
+        psi = np.dot(
+            rot.reshape(-1, rot.shape[-1]), self._prep_coefficients(inits)
+        ).reshape(rot.shape[:-1])
         # astype is a no-op on the default float64 path (copy=False)
         return (np.square(psi.real) + np.square(psi.imag)).astype(
             self.dtype, copy=False

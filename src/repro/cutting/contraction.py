@@ -295,7 +295,7 @@ def fixed_plan(spec: NetworkSpec) -> ContractionPlan:
     plan = ContractionPlan(
         num_nodes=spec.num_nodes, steps=tuple(steps), method="fixed"
     )
-    plan.validate(spec.num_nodes)
+    # plan_cost validates the steps
     return ContractionPlan(
         num_nodes=spec.num_nodes,
         steps=tuple(steps),

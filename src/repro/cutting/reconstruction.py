@@ -56,6 +56,7 @@ paper's ref [19]).
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -290,10 +291,7 @@ def _network_clusters(tensors, tree, group_bases, vals=None):
     first entering group is slowest, matching the flat row product).
     ``vals`` (pruned path) carries each node's kept output indices.
     """
-    rows = [
-        int(np.prod([len(p) for p in pools])) if pools else 1
-        for pools in group_bases
-    ]
+    rows = [math.prod(len(p) for p in pools) for pools in group_bases]
     clusters = {}
     for i in range(tree.num_fragments):
         frag = tree.fragments[i]

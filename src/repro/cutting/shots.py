@@ -224,12 +224,10 @@ def allocate_tree_pilot_shots(
     skips (always the leaves, which have no exiting cuts and therefore
     nothing to test).  ``pilot_shots=None`` derives the paper-mode default
     from the production per-variant budget:
-    ``max(PILOT_FLOOR, shots_per_variant · PILOT_FRACTION)``, the same rule
-    :func:`~repro.core.pipeline.cut_and_run` applies to bipartitions.  The
-    report feeds the pipeline's cost accounting (pilot executions are kept
-    separate from production ones, mirroring the pair path's bookkeeping).
-    Chains are linear trees; :func:`allocate_chain_pilot_shots` is an
-    alias.
+    ``max(PILOT_FLOOR, shots_per_variant · PILOT_FRACTION)``.  The report
+    feeds the pipeline's cost accounting, which keeps pilot executions
+    separate from production ones.  Chains are linear trees;
+    :func:`allocate_chain_pilot_shots` is an alias.
     """
     counts = [int(c) for c in pilot_variants_per_fragment]
     if len(counts) < 2:

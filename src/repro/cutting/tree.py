@@ -497,6 +497,8 @@ def _cocut_groups(
     the split, so one ``bipartition`` call cuts the full frontier.
     """
     chosen = [g]
+    if all(h in done or h == g for h in range(len(specs))):
+        return chosen  # no pending group could join the frontier
     while True:
         combined = CutSpec(
             tuple(

@@ -166,9 +166,9 @@ def tree_variant(
     Structure: preparation gates on the entering cut wires, a fence, the
     fragment body, a fence, basis-change gates on the exiting cut wires (in
     the node's flat cut order, spanning every child group); either side
-    collapses away at the root / leaves.  The fences keep the body a standalone transpile unit, which
-    is what lets the noisy tree cache serve every combined variant from one
-    transpiled body.
+    collapses away at the root / leaves.  The fences keep the body a
+    standalone transpile unit, which is what lets the noisy tree cache
+    serve every combined variant from one transpiled body.
     """
     frag = tree.fragments[index]
     if len(inits) != frag.num_prep:

@@ -65,7 +65,10 @@ def bits_to_index(bits: Sequence[int] | np.ndarray) -> int:
 
 def format_bitstring(index: int, num_qubits: int) -> str:
     """Render a basis index as the canonical display string (qubit 0 first)."""
-    return "".join(str(int(b)) for b in index_to_bits(index, num_qubits))
+    if index < 0 or index >= (1 << num_qubits):
+        raise ValueError(f"index {index} out of range for {num_qubits} qubits")
+    # binary formatting is most-significant first; reverse to put qubit 0 left
+    return format(index, f"0{num_qubits}b")[::-1] if num_qubits else ""
 
 
 def index_to_bitstring(index: int, num_qubits: int) -> str:
@@ -75,9 +78,9 @@ def index_to_bitstring(index: int, num_qubits: int) -> str:
 
 def bitstring_to_index(bitstring: str) -> int:
     """Parse the canonical display string back into a little-endian index."""
-    if not bitstring or any(c not in "01" for c in bitstring):
+    if not bitstring or bitstring.strip("01"):
         raise ValueError(f"invalid bitstring {bitstring!r}")
-    return bits_to_index([int(c) for c in bitstring])
+    return int(bitstring[::-1], 2)
 
 
 def split_index(

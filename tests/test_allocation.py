@@ -1,137 +1,81 @@
-"""Tests for variance-aware shot-allocation planning."""
+"""Tests for fragment-tree shot-budget planning (production and pilot)."""
 
-import numpy as np
 import pytest
 
 from repro.backends import IdealBackend
 from repro.core import golden_ansatz
-from repro.cutting import bipartition
-from repro.cutting.allocation import suggest_allocation
-from repro.cutting.execution import exact_fragment_data, run_fragments
+from repro.core.neglect import tree_reduced_variants
+from repro.cutting import allocate_tree_shots, run_tree_fragments
+from repro.cutting.shots import allocate_tree_pilot_shots
 from repro.exceptions import CutError
+
+from tests.helpers import pair_tree
 
 
 @pytest.fixture(scope="module")
-def pilot():
+def golden_tree():
     spec = golden_ansatz(5, depth=3, seed=17)
-    pair = bipartition(spec.circuit, spec.cut_spec)
-    return run_fragments(pair, IdealBackend(), shots=2000, seed=3)
+    return pair_tree(spec.circuit, spec.cut_spec)
 
 
-class TestSuggestAllocation:
-    def test_budget_conserved(self, pilot):
-        plan = suggest_allocation(pilot, total_shots=9000)
-        total = sum(plan.upstream.values()) + sum(plan.downstream.values())
-        assert total == 9000
+class TestAllocateTreeShots:
+    def test_budget_conserved(self):
+        per, report = allocate_tree_shots([3, 6], total_shots=9000)
+        assert per == 1000
+        assert report["total_executions"] == 9000
+        # a remainder is never overspent
+        per, report = allocate_tree_shots([3, 6], total_shots=9008)
+        assert per == 1000 and report["total_executions"] <= 9008
 
-    def test_every_variant_funded(self, pilot):
-        plan = suggest_allocation(pilot, total_shots=9000, min_shots=50)
-        assert len(plan.upstream) == 3 and len(plan.downstream) == 6
-        for v in list(plan.upstream.values()) + list(plan.downstream.values()):
-            assert v >= 50
+    def test_every_variant_funded(self):
+        per, report = allocate_tree_shots([3, 18, 6], shots_per_variant=250)
+        assert per == 250
+        assert report["variants_per_fragment"] == [3, 18, 6]
+        assert report["num_variants"] == 27
+        assert report["total_executions"] == 250 * 27
 
-    def test_never_worse_than_uniform(self, pilot):
-        """Neyman allocation minimises the modelled variance, so the plan
-        can only beat (or tie) the uniform split it is compared against."""
-        plan = suggest_allocation(pilot, total_shots=9000)
-        assert plan.predicted_variance <= plan.uniform_variance * 1.0001
-        assert plan.improvement >= 0.999
-
-    def test_nonuniform_when_coefficients_differ(self, pilot):
-        plan = suggest_allocation(pilot, total_shots=18_000)
-        counts = list(plan.upstream.values()) + list(plan.downstream.values())
-        assert max(counts) > min(counts)  # uniform would be a coincidence
-
-    def test_budget_floor_enforced(self, pilot):
+    def test_budget_floor_enforced(self):
         with pytest.raises(CutError):
-            suggest_allocation(pilot, total_shots=10, min_shots=16)
-
-    def test_exact_pilot_rejected(self):
-        spec = golden_ansatz(5, depth=2, seed=18)
-        pair = bipartition(spec.circuit, spec.cut_spec)
+            allocate_tree_shots([3, 6], total_shots=8)
         with pytest.raises(CutError):
-            suggest_allocation(exact_fragment_data(pair), total_shots=900)
+            allocate_tree_shots([3, 6], shots_per_variant=0)
 
-    def test_rows_renderable(self, pilot):
-        plan = suggest_allocation(pilot, total_shots=9000)
-        rows = plan.as_rows()
-        assert len(rows) == 9
-        assert all("shots" in r for r in rows)
+    def test_needs_two_fragments(self):
+        with pytest.raises(CutError):
+            allocate_tree_shots([9], shots_per_variant=100)
 
-    def test_plan_respects_reduced_bases(self, pilot):
-        """Planning over a golden-reduced protocol only sees its variants."""
-        from repro.core.neglect import (
-            reduced_bases,
-            reduced_init_tuples,
-            reduced_setting_tuples,
-        )
+    def test_every_fragment_needs_a_variant(self):
+        with pytest.raises(CutError):
+            allocate_tree_shots([3, 0], shots_per_variant=100)
+
+    def test_plan_respects_reduced_bases(self, golden_tree):
+        """A golden-reduced protocol is budgeted over its own variants only:
+        the paper's 9 → 6 executions for one Y-golden cut."""
+        _, variants = tree_reduced_variants(golden_tree, [{0: "Y"}])
+        counts = [len(v) for v in variants]
+        assert counts == [2, 4]
+        _, full = allocate_tree_shots([3, 6], shots_per_variant=1000)
+        _, reduced = allocate_tree_shots(counts, shots_per_variant=1000)
+        assert full["total_executions"] == 9000
+        assert reduced["total_executions"] == 6000
+
+    def test_matches_executed_budget(self, golden_tree):
+        per, report = allocate_tree_shots([3, 6], total_shots=900)
+        data = run_tree_fragments(golden_tree, IdealBackend(), shots=per, seed=3)
+        assert data.total_shots == report["total_executions"]
+        assert [len(r) for r in data.records] == report["variants_per_fragment"]
+
+
+class TestAllocateTreePilotShots:
+    def test_detect_mode_bills_the_pilot(self):
+        """``cut_and_run(golden="detect")`` charges exactly the planned
+        pilot: the measuring fragment's settings at the default budget."""
+        from repro.core import cut_and_run
 
         spec = golden_ansatz(5, depth=3, seed=17)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        golden = {0: "Y"}
-        reduced_pilot = run_fragments(
-            pair, IdealBackend(), shots=2000, seed=4,
-            settings=reduced_setting_tuples(1, golden),
-            inits=reduced_init_tuples(1, golden),
+        run = cut_and_run(
+            spec.circuit, IdealBackend(), cuts=spec.cut_spec, shots=800,
+            golden="detect", seed=5,
         )
-        plan = suggest_allocation(
-            reduced_pilot, total_shots=6000, bases=reduced_bases(1, golden)
-        )
-        assert len(plan.upstream) == 2 and len(plan.downstream) == 4
-
-    def test_weighted_execution_improves_empirical_error(self, pilot):
-        """End-to-end: spending the planned budgets beats uniform on the
-        measured TV error (averaged over repetitions)."""
-        from repro.cutting.execution import run_fragments
-        from repro.cutting.reconstruction import reconstruct_distribution
-        from repro.metrics import total_variation
-        from repro.sim import simulate_statevector
-
-        spec = golden_ansatz(5, depth=3, seed=17)
-        pair = bipartition(spec.circuit, spec.cut_spec)
-        truth = simulate_statevector(spec.circuit).probabilities()
-        plan = suggest_allocation(pilot, total_shots=2700, min_shots=32)
-
-        def run_with(allocation: dict, seed: int):
-            # per-variant runs with individual budgets, merged by hand
-            upstream = {}
-            downstream = {}
-            for i, (s, n) in enumerate(allocation["up"].items()):
-                d = run_fragments(
-                    pair, IdealBackend(), shots=n, settings=[s],
-                    inits=[("Z+",)], seed=seed * 997 + i,
-                )
-                upstream[s] = d.upstream[s]
-            for j, (t, n) in enumerate(allocation["down"].items()):
-                d = run_fragments(
-                    pair, IdealBackend(), shots=n, settings=[("Z",)],
-                    inits=[t], seed=seed * 991 + 100 + j,
-                )
-                downstream[t] = d.downstream[t]
-            from repro.cutting.execution import FragmentData
-
-            return FragmentData(
-                pair=pair, upstream=upstream, downstream=downstream,
-                shots_per_variant=min(
-                    list(allocation["up"].values())
-                    + list(allocation["down"].values())
-                ),
-            )
-
-        planned = {"up": plan.upstream, "down": plan.downstream}
-        uniform = {
-            "up": {k: 300 for k in plan.upstream},
-            "down": {k: 300 for k in plan.downstream},
-        }
-        err_planned, err_uniform = [], []
-        for rep in range(8):
-            dp = run_with(planned, seed=rep + 1)
-            du = run_with(uniform, seed=rep + 1)
-            err_planned.append(
-                total_variation(reconstruct_distribution(dp), truth)
-            )
-            err_uniform.append(
-                total_variation(reconstruct_distribution(du), truth)
-            )
-        # planned mean error should not be noticeably worse than uniform
-        assert np.mean(err_planned) < np.mean(err_uniform) * 1.25
+        _, report = allocate_tree_pilot_shots([3, 0], shots_per_variant=800)
+        assert run.tree_run.pilot_executions == report["pilot_executions"]

@@ -231,4 +231,3 @@ class TestCostTracksTime:
         np.testing.assert_allclose(contract(fixed), contract(searched), atol=1e-9)
         assert plan_cost(spec, fixed) == fixed.cost
         assert plan_cost(spec, searched) == searched.cost
-        assert plan_cost(spec, fixed) > 1.5 * plan_cost(spec, searched)

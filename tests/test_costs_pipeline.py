@@ -164,3 +164,53 @@ class TestPipeline:
             spec.circuit, IdealBackend(), cuts=spec.cut_spec, shots=500, seed=5
         )
         assert r.reconstruction_seconds >= 0.0
+
+    @pytest.mark.parametrize(
+        "mode, golden_map", [("off", None), ("known", {0: "Y"}), ("analytic", None)]
+    )
+    def test_cost_report_matches_executed_plan(self, spec, mode, golden_map):
+        """The closed-form cost report counts what the tree run executed."""
+        r = cut_and_run(
+            spec.circuit, IdealBackend(), cuts=spec.cut_spec, shots=400,
+            golden=mode, golden_map=golden_map, seed=3,
+        )
+        assert r.tree_run.costs["variants_per_fragment"] == [
+            r.costs.upstream_settings,
+            r.costs.downstream_inits,
+        ]
+        assert r.tree_run.total_executions == r.costs.total_executions
+
+    def test_matches_the_two_node_tree_run(self, spec):
+        from repro.core import cut_and_run_tree
+
+        kw = dict(shots=400, golden="known", seed=7)
+        r = cut_and_run(
+            spec.circuit, IdealBackend(), cuts=spec.cut_spec,
+            golden_map={0: "Y"}, **kw,
+        )
+        t = cut_and_run_tree(
+            spec.circuit, IdealBackend(), [spec.cut_spec],
+            golden_maps=[{0: "Y"}], **kw,
+        )
+        np.testing.assert_array_equal(r.probabilities, t.probabilities)
+        assert r.bases == t.bases[0]
+        assert r.device_seconds == t.device_seconds
+
+    def test_pair_is_bipartitioned_on_first_access(self, spec, monkeypatch):
+        import repro.core.pipeline as pipeline
+
+        calls = []
+        real = pipeline.bipartition
+        monkeypatch.setattr(
+            pipeline, "bipartition", lambda *a: calls.append(a) or real(*a)
+        )
+        r = cut_and_run(
+            spec.circuit, IdealBackend(), cuts=spec.cut_spec, shots=200, seed=0
+        )
+        assert calls == []
+        pair = r.pair
+        assert r.pair is pair and len(calls) == 1
+        expected = bipartition(spec.circuit, spec.cut_spec)
+        assert (pair.n_up, pair.n_down) == (expected.n_up, expected.n_down)
+        assert pair.up_out_original == expected.up_out_original
+        assert pair.down_out_original == expected.down_out_original
