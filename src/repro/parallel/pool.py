@@ -195,12 +195,15 @@ def _worker_run(task) -> tuple:  # pragma: no cover
     caches = _WORKER["caches"]
     cache = caches[index] if caches is not None else None
     policy = _WORKER["retry"]
-    start = backend.clock.now
+    # each task is clocked from zero: a difference against the worker's
+    # running total would round differently depending on which tasks the
+    # worker happened to run before, so the parent's sum would drift
+    backend.clock.reset()
     if policy is None:
         res = backend.run_tree_variants(
             tree, index, [combo], shots=shots, seed=stream, cache=cache
         )[0]
-        return res.probabilities(), backend.clock.now - start, []
+        return res.probabilities(), backend.clock.now, []
 
     from repro.cutting.resilience import RetryEngine
 
@@ -229,7 +232,7 @@ def _worker_run(task) -> tuple:  # pragma: no cover
         on_exhausted=_WORKER["on_exhausted"],
     )
     probs = None if res is None else res.probabilities()
-    return probs, backend.clock.now - start, engine.ledger.records
+    return probs, backend.clock.now, engine.ledger.records
 
 
 # ----------------------------------------------------------------------

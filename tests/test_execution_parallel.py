@@ -495,6 +495,27 @@ class TestTreeProcessExecutor:
         self._assert_identical(a, b)
         assert not b.metadata["cached"]
 
+    def test_worker_task_seconds_independent_of_prior_tasks(self):
+        """A task's modelled seconds must not depend on what the worker
+        ran before, or the parent's task-order sum changes with how the
+        pool happened to distribute tasks."""
+        from repro.parallel import pool
+
+        _, tree = self._tree(parents=(0,))
+        dev = fake_5q_device()
+        pool._WORKER.update(
+            backend=dev, tree=tree, caches=None, banks=[], shots=100,
+            retry=None, on_exhausted="raise",
+        )
+        try:
+            task = (0, ((), ("Y",)), np.random.default_rng(0))
+            fresh = pool._worker_run(task)[1]
+            dev.clock.charge(1234.5678)  # earlier tasks on this worker
+            task = (0, ((), ("Y",)), np.random.default_rng(0))
+            assert pool._worker_run(task)[1] == fresh
+        finally:
+            pool._WORKER.clear()
+
     def test_process_rejects_cross_process_meters(self):
         from repro.cutting import RetryPolicy
         from repro.parallel import run_tree_fragments_parallel
