@@ -10,8 +10,10 @@ so a thread pool cannot scale it and ``mode="process"`` is the only lever:
   asserts bit-identical records against the serial reference;
 * ``trajectory-speedup`` — the acceptance gate: with ≥ 4 usable cores the
   process pool must finish the trajectory tree at least 2× faster than the
-  thread pool (skipped — not failed — on smaller machines, where the pool
-  spawn overhead dominates and the ratio is meaningless);
+  thread pool (skipped — not failed — on smaller machines, where 4 workers
+  share fewer cores and the ratio is meaningless).  The pool persists
+  across calls, so only the first process-mode round pays worker start-up;
+  later rounds measure the fan-out itself;
 * ``service-coalesced`` vs ``service-independent`` — two identical
   concurrent requests through :class:`~repro.parallel.service.CutRunService`
   (each shared fragment body executed once, pinned by the coalescing
@@ -93,8 +95,8 @@ def test_trajectory_process_pool(benchmark):
 def test_process_beats_thread_on_multicore(benchmark):
     """Acceptance gate: ≥ 2× over the thread pool on a ≥ 4-core machine.
 
-    On fewer cores the process pool has nothing to parallelise against and
-    its spawn overhead dominates, so the ratio is skipped, not asserted.
+    On fewer cores the process pool's 4 workers have nothing to
+    parallelise against, so the ratio is skipped, not asserted.
     """
     if _CORES < 4:
         pytest.skip(f"speedup gate needs >= 4 usable cores, have {_CORES}")

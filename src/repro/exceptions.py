@@ -86,6 +86,18 @@ class CircuitBreakerOpenError(BackendError):
     """Too many consecutive failures on one fragment; failing fast."""
 
 
+class WorkerPoolError(BackendError):
+    """A process-pool worker died (killed, crashed or out of memory) while
+    fragment tasks were in flight.  The broken pool is discarded, so the
+    next process-mode call starts a fresh one."""
+
+
+class ServiceClosedError(ReproError):
+    """A request reached a :class:`~repro.parallel.service.CutRunService`
+    after :meth:`~repro.parallel.service.CutRunService.close`, or was still
+    pending when the service closed."""
+
+
 class TranspileError(ReproError):
     """Circuit cannot be lowered to the target device."""
 

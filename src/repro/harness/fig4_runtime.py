@@ -7,9 +7,10 @@ noiseless simulator the saving comes from running 6 instead of 9 fragment
 variants and contracting 12 instead of 16 reconstruction terms.
 
 We measure real wall time (``perf_counter``) of the full
-gather-and-reconstruct pipeline per trial.  The bench defaults to fewer
-trials than the paper's 1000 to keep CI fast; pass ``trials=1000`` for the
-full protocol.
+gather-and-reconstruct pipeline per trial, and record each run's executed
+variant count beside it (the deterministic side of the same saving).  The
+bench defaults to fewer trials than the paper's 1000 to keep CI fast; pass
+``trials=1000`` for the full protocol.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ class Fig4Result:
     speedup: float
     raw_standard: list[float]
     raw_golden: list[float]
+    #: executed fragment variants per trial (``costs.num_variants``)
+    variants_standard: list[int]
+    variants_golden: list[int]
 
     def rows(self) -> list[dict]:
         return [
@@ -60,19 +64,24 @@ def run_fig4(
     """Time standard vs golden gather+reconstruct on the ideal simulator."""
     backend = IdealBackend()
 
-    def trial(i: int, s: int) -> tuple[float, float]:
+    def trial(i: int, s: int) -> tuple:
         spec = golden_ansatz(num_qubits, depth=depth, golden_basis="Y", seed=s)
         with Stopwatch() as sw_std:
-            cut_and_run(
+            std_run = cut_and_run(
                 spec.circuit, backend, cuts=spec.cut_spec, shots=shots,
                 golden="off", seed=s,
             )
         with Stopwatch() as sw_gld:
-            cut_and_run(
+            gld_run = cut_and_run(
                 spec.circuit, backend, cuts=spec.cut_spec, shots=shots,
                 golden="known", golden_map={0: spec.golden_basis}, seed=s,
             )
-        return sw_std.elapsed, sw_gld.elapsed
+        return (
+            sw_std.elapsed,
+            sw_gld.elapsed,
+            std_run.costs.num_variants,
+            gld_run.costs.num_variants,
+        )
 
     outcomes = run_trials(trial, trials, seed=seed)
     std_series = [o[0] for o in outcomes]
@@ -85,4 +94,6 @@ def run_fig4(
         speedup=std.mean / gld.mean if gld.mean > 0 else float("inf"),
         raw_standard=std_series,
         raw_golden=gld_series,
+        variants_standard=[o[2] for o in outcomes],
+        variants_golden=[o[3] for o in outcomes],
     )

@@ -4,7 +4,7 @@ Three layers, each usable alone:
 
 * :mod:`repro.parallel.executor` — thread/process fan-out of fragment
   variant tasks with worker-count-independent RNG streams;
-* :mod:`repro.parallel.pool` — the process-pool machinery: shared-memory
+* :mod:`repro.parallel.pool` — the persistent process pool: shared-memory
   cache banks and the worker protocol behind ``mode="process"``;
 * :mod:`repro.parallel.service` — :class:`CutRunService`, the request
   coalescer that dedupes concurrent cut runs sharing fragment bodies.

@@ -25,13 +25,18 @@ Two structural optimisations over a naive per-task fan-out:
   distributions, so fragment bodies are transpiled/simulated exactly once
   however many workers run.
 
-``mode="process"`` swaps the thread pool for a
+``mode="process"`` swaps the thread pool for a persistent
 fork-server/spawn-safe process pool (:mod:`repro.parallel.pool`): the
 parent warms the cache pool once, exports each cache's numeric banks into
 shared memory, and every worker process rebuilds real cache instances
 around zero-copy read-only views — warming stays once per *body*, never
-once per worker.  Results are bit-identical across all three modes
-because each task's RNG stream is derived from its global index.
+once per worker.  The pool outlives the call: the first process-mode call
+starts it, later calls reuse its workers, and it shuts itself down after
+a short idle period (see :mod:`repro.parallel.pool` for why it must), so
+worker start-up is not a per-call cost.  A worker that dies raises
+:class:`~repro.exceptions.WorkerPoolError`.  Results are bit-identical
+across all three modes because each task's RNG stream is derived from
+its global index.
 
 Choosing a mode:
 
@@ -42,7 +47,7 @@ Choosing a mode:
   such as :class:`~repro.backends.trajectory.TrajectoryBackend`, heavy
   per-variant Python bookkeeping): the GIL serialises threads, so fan
   out across processes; the shared-memory cache banks keep the
-  per-worker cost at one attach instead of one warm-up.
+  per-call worker cost at one attach instead of one warm-up.
   (Benchmarked in ``benchmarks/bench_process_executor.py``.)
 * **serial** — debugging and single-core runs; also the reference the
   equivalence suites pin both pools against.
@@ -80,28 +85,16 @@ def parallel_map(
     max_workers: int | None = None,
     mode: str = "thread",
 ) -> list[U]:
-    """Order-preserving map, optionally threaded.
+    """Order-preserving map over a thread pool.
 
     ``mode="serial"`` executes in the calling thread (useful for debugging
     and for backends that are not thread-safe); results are identical in
-    all modes because work items carry their own RNG streams.
-    ``mode="process"`` fans out over a process pool — ``fn`` and the items
-    must then be picklable (module-level functions, not closures); the
-    fragment executors below use the richer
-    :mod:`repro.parallel.pool` machinery instead, which also ships warmed
-    caches through shared memory.
+    both modes because work items carry their own RNG streams.  Process
+    fan-out lives in :mod:`repro.parallel.pool`, behind the fragment
+    executors' ``mode="process"``; any other ``mode`` is a ``ValueError``.
     """
     if mode == "serial" or len(items) <= 1:
         return [fn(x) for x in items]
-    if mode == "process":
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.parallel.pool import resolve_start_method
-
-        ctx = multiprocessing.get_context(resolve_start_method())
-        with ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx) as pool:
-            return list(pool.map(fn, items))
     if mode != "thread":
         raise ValueError(f"unknown parallel mode {mode!r}")
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -176,13 +169,14 @@ def run_tree_fragments_parallel(
     worker count.  Results are independent of worker count and of ``mode``
     (``"serial"``/``"thread"``/``"process"``) because every task's RNG
     stream is derived from its global index.  ``mode="process"`` ships the
-    warmed pool to worker processes through shared memory
-    (:mod:`repro.parallel.pool`) and merges per-worker attempt records back
-    into ``ledger`` in task order; retry policies carrying a shared
-    ``deadline`` or ``breaker_threshold`` are rejected there (their meters
-    cannot span processes — use ``mode="thread"``).  ``dtype`` sets the
-    record precision (sampling happens in float64 before the cast, so RNG
-    streams are unchanged).
+    warmed pool through shared memory to the persistent worker processes
+    (:mod:`repro.parallel.pool`; a dead worker raises
+    :class:`~repro.exceptions.WorkerPoolError`) and merges per-worker
+    attempt records back into ``ledger`` in task order; retry policies
+    carrying a shared ``deadline`` or ``breaker_threshold`` are rejected
+    there (their meters cannot span processes — use ``mode="thread"``).
+    ``dtype`` sets the record precision (sampling happens in float64
+    before the cast, so RNG streams are unchanged).
 
     ``retry`` (a :class:`~repro.cutting.resilience.RetryPolicy`) routes
     every task through the same :class:`~repro.cutting.resilience

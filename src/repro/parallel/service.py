@@ -25,14 +25,19 @@ Coalescing identity is *content*, not object identity: the job key hashes
 the fragment fingerprint (circuit + cut-group layouts + backend physics),
 the exact variant combos, the shot budget, the SHA-256 of the request's
 per-fragment RNG state, the retry policy and the exhaustion mode.  Requests
-differing in any of these run separately.
+differing in any of these run separately.  A job that raised is forgotten
+as it fails, so a later identical request executes again instead of
+replaying the error.
+
+Lifecycle: :meth:`CutRunService.close` fails every job not yet executed
+with :class:`~repro.exceptions.ServiceClosedError`, so no waiter is
+stranded, and requests made after it raise the same error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +48,7 @@ from repro.cutting.execution import (
     _tree_variant_lists,
 )
 from repro.cutting.fingerprint import FragmentStore, fragment_fingerprint
-from repro.exceptions import CutError
+from repro.exceptions import CutError, ServiceClosedError
 
 __all__ = ["CutRunService"]
 
@@ -103,7 +108,7 @@ class CutRunService:
         self._jobs: dict[tuple, _FragmentJob] = {}
         self._pending: list[_FragmentJob] = []
         self._wake = threading.Event()
-        self._closed = False
+        self._closed = threading.Event()
         self.stats_requests = 0
         self.stats_fragment_jobs = 0
         self.stats_coalesced = 0
@@ -121,11 +126,23 @@ class CutRunService:
         self.close()
 
     def close(self) -> None:
-        """Stop the dispatcher thread (idempotent)."""
+        """Stop the dispatcher thread (idempotent).
+
+        Jobs still pending fail with
+        :class:`~repro.exceptions.ServiceClosedError`; later
+        :meth:`run`/:meth:`submit` calls raise it.
+        """
         with self._lock:
-            self._closed = True
+            self._closed.set()
+            pending, self._pending = self._pending, []
+        for job in pending:
+            self._fail(job, ServiceClosedError("CutRunService closed first"))
         self._wake.set()
         self._dispatcher.join(timeout=5.0)
+
+    def _check_open(self) -> None:
+        if self._closed.is_set():
+            raise ServiceClosedError("CutRunService is closed")
 
     def stats(self) -> dict:
         with self._lock:
@@ -149,6 +166,7 @@ class CutRunService:
         from repro.core.pipeline import cut_and_run_tree
 
         with self._lock:
+            self._check_open()
             self.stats_requests += 1
         return cut_and_run_tree(
             circuit,
@@ -165,6 +183,7 @@ class CutRunService:
         re-raises any failure.  Submitting several identical requests
         within ``batch_window`` is the intended coalescing pattern.
         """
+        self._check_open()
         return _Request(self, circuit, kwargs)
 
     def run_many(self, requests):
@@ -304,6 +323,7 @@ class CutRunService:
         self, key, tree, index, combos, shots, rng, cache, policy, on_exhausted
     ) -> _FragmentJob:
         with self._lock:
+            self._check_open()
             job = self._jobs.get(key)
             if job is not None:
                 self.stats_coalesced += 1
@@ -329,23 +349,34 @@ class CutRunService:
         while True:
             self._wake.wait()
             with self._lock:
-                if self._closed:
+                if self._closed.is_set():
                     return
                 self._wake.clear()
-            # let concurrent requests land in this batch
+            # let concurrent requests land in this batch (close() cuts it
+            # short: its pending jobs have already failed)
             if self.batch_window > 0:
-                time.sleep(self.batch_window)
+                self._closed.wait(self.batch_window)
             with self._lock:
                 batch, self._pending = self._pending, []
                 if batch:
                     self.stats_dispatch_batches += 1
             for job in batch:
                 try:
+                    self._check_open()
                     self._execute(job)
                 except BaseException as exc:  # delivered to every waiter
-                    job.error = exc
-                finally:
+                    self._fail(job, exc)
+                else:
                     job.done.set()
+
+    def _fail(self, job: _FragmentJob, error: BaseException) -> None:
+        """Deliver ``error`` to the job's waiters and forget the job, so a
+        later identical request executes instead of replaying the error."""
+        job.error = error
+        with self._lock:
+            if self._jobs.get(job.key) is job:
+                del self._jobs[job.key]
+        job.done.set()
 
     def _execute(self, job: _FragmentJob) -> None:
         backend = self.backend

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 
+from repro.backends import IdealBackend
 from repro.circuits import Circuit, random_circuit
 from repro.cutting import CutPoint, CutSpec
 from repro.utils.rng import as_generator
@@ -114,3 +118,12 @@ def root_golden_bases(tree) -> dict:
 
     found, _ = find_tree_golden_bases_analytic(tree)
     return found[0]
+
+
+def backend_killing_its_worker(parent_pid: int) -> IdealBackend:
+    """An ``IdealBackend`` factory that SIGKILLs any process other than
+    ``parent_pid`` calling it: a process-pool worker dying mid-task (bind
+    the pid with ``functools.partial`` so the factory pickles)."""
+    if os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return IdealBackend()

@@ -1,5 +1,7 @@
 """Tests for fragment execution, shot allocation and the parallel executor."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,11 @@ class TestParallel:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             parallel_map(lambda x: x, [1, 2], mode="gpu")
+
+    def test_process_mode_is_not_a_map_mode(self):
+        # process fan-out lives behind the fragment executors only
+        with pytest.raises(ValueError, match="process"):
+            parallel_map(abs, [1, 2], mode="process")
 
     def test_parallel_fragments_match_serial_reconstruction(self, simple_tree):
         qc, tree = simple_tree
@@ -504,17 +511,125 @@ class TestTreeProcessExecutor:
         _, tree = self._tree(parents=(0,))
         dev = fake_5q_device()
         pool._WORKER.update(
-            backend=dev, tree=tree, caches=None, banks=[], shots=100,
-            retry=None, on_exhausted="raise",
+            token="call", backend=dev, tree=tree, caches=None, banks=[],
+            shots=100, retry=None, on_exhausted="raise",
         )
         try:
-            task = (0, ((), ("Y",)), np.random.default_rng(0))
+            task = ("call", None, 0, ((), ("Y",)), np.random.default_rng(0))
             fresh = pool._worker_run(task)[1]
             dev.clock.charge(1234.5678)  # earlier tasks on this worker
-            task = (0, ((), ("Y",)), np.random.default_rng(0))
+            task = ("call", None, 0, ((), ("Y",)), np.random.default_rng(0))
             assert pool._worker_run(task)[1] == fresh
         finally:
             pool._WORKER.clear()
+
+    def test_killed_worker_raises_typed_error_then_pool_recovers(self):
+        """A worker SIGKILLed mid-task surfaces as WorkerPoolError within
+        a bounded wait (a ``multiprocessing.Pool.map`` hangs here), and the
+        next call runs on a fresh pool, bit-identical to serial."""
+        import threading
+        from functools import partial
+
+        from repro.exceptions import WorkerPoolError
+
+        from tests.helpers import backend_killing_its_worker
+
+        _, tree = self._tree(parents=(0,))
+        outcome = {}
+
+        def doomed_call():
+            try:
+                run_tree_fragments_parallel(
+                    tree,
+                    partial(backend_killing_its_worker, os.getpid()),
+                    shots=100,
+                    seed=0,
+                    max_workers=2,
+                    mode="process",
+                )
+            except BaseException as exc:  # handed to the asserting thread
+                outcome["error"] = exc
+
+        caller = threading.Thread(target=doomed_call, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive(), "process-mode call hung on a dead worker"
+        assert isinstance(outcome.get("error"), WorkerPoolError)
+
+        serial = run_tree_fragments_parallel(
+            tree, IdealBackend, shots=100, seed=0, mode="serial"
+        )
+        again = run_tree_fragments_parallel(
+            tree, IdealBackend, shots=100, seed=0, max_workers=2, mode="process"
+        )
+        self._assert_identical(serial, again)
+
+    def test_consecutive_calls_reuse_one_live_pool(self, monkeypatch):
+        """Two different trees and backends back to back run on the same
+        worker processes, each bit-identical to its serial run."""
+        from repro.parallel import pool
+
+        monkeypatch.setattr(pool, "IDLE_TIMEOUT_S", 60.0)
+        jobs = [
+            (self._tree(parents=(0, 0))[1], IdealBackend),
+            (self._tree(seed=84, parents=(0,))[1], fake_5q_device),
+        ]
+        serial = [
+            run_tree_fragments_parallel(t, f, shots=300, seed=5, mode="serial")
+            for t, f in jobs
+        ]
+        executors = []
+        for (tree, factory), reference in zip(jobs, serial):
+            run = run_tree_fragments_parallel(
+                tree, factory, shots=300, seed=5, max_workers=2, mode="process"
+            )
+            self._assert_identical(reference, run)
+            assert np.isclose(reference.modeled_seconds, run.modeled_seconds)
+            key = (pool.resolve_start_method(), 2)
+            executors.append(pool._POOLS[key].executor)
+        assert executors[0] is executors[1]
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="reads /proc/<pid>/maps"
+    )
+    def test_worker_maps_only_one_calls_banks(self, monkeypatch):
+        """A worker closes the previous call's bank mappings when it starts
+        on a new call: whatever it maps belongs to a single call."""
+        import multiprocessing
+        import re
+
+        from repro.parallel import pool
+
+        pool._shutdown_pools()  # only this test's workers are children
+        monkeypatch.setattr(pool, "IDLE_TIMEOUT_S", 60.0)
+        segments: list[set] = []
+        real_pack = pool.SharedArrayBank.pack.__func__
+
+        def recording_pack(cls, arrays):
+            bank = real_pack(cls, arrays)
+            segments[-1].add(bank.manifest["shm"])
+            return bank
+
+        monkeypatch.setattr(
+            pool.SharedArrayBank, "pack", classmethod(recording_pack)
+        )
+        for seed, parents in ((83, (0, 0)), (84, (0,)), (85, (0, 0))):
+            segments.append(set())
+            run_tree_fragments_parallel(
+                self._tree(seed=seed, parents=parents)[1],
+                fake_5q_device,
+                shots=100,
+                seed=1,
+                max_workers=2,
+                mode="process",
+            )
+            mapped = []
+            for child in multiprocessing.active_children():
+                with open(f"/proc/{child.pid}/maps") as fh:
+                    mapped.append(set(re.findall(r"psm_\w+", fh.read())))
+            assert any(mapped)
+            for names in mapped:
+                assert any(names <= call for call in segments), names
 
     def test_process_rejects_cross_process_meters(self):
         from repro.cutting import RetryPolicy

@@ -57,10 +57,12 @@ class TestFig3:
 
 
 class TestFig4:
-    def test_golden_faster(self):
+    def test_golden_runs_fewer_variants(self):
+        # the counted side of the timed saving: 9 vs 6 variants per trial
+        # (wall-clock speedup is the figure, not a tier-1 assertion)
         r = run_fig4(trials=8, shots=400, seed=11)
-        assert r.speedup > 1.0
-        assert r.golden.mean < r.standard.mean
+        assert r.variants_standard == [9] * 8
+        assert r.variants_golden == [6] * 8
 
     def test_rows(self):
         r = run_fig4(trials=3, shots=200, seed=12)

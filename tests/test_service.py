@@ -8,6 +8,7 @@ shared fragment body exactly once — pinned by call count, not by timing.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.cutting import (
     partition_tree,
     run_tree_fragments,
 )
-from repro.exceptions import CutError
+from repro.exceptions import CutError, ServiceClosedError
 from repro.parallel import CutRunService
 
 
@@ -42,6 +43,24 @@ SPEC = CutSpec((CutPoint(1, 2),))
 
 def _tree(theta=0.7):
     return partition_tree(_circuit(theta), [SPEC])
+
+
+def _bounded(fn, timeout=60.0):
+    """``(result, error)`` of ``fn()`` run on a daemon thread; fails the
+    test instead of hanging if the call blocks past ``timeout`` seconds."""
+    out = {}
+
+    def work():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:  # handed to the asserting thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"call blocked for over {timeout} s"
+    return out.get("result"), out.get("error")
 
 
 class CountingBackend(FakeHardwareBackend):
@@ -229,6 +248,55 @@ class TestCutRunService:
         with CutRunService(fake_5q_device()) as svc:
             with pytest.raises(CutError):
                 svc.run(_circuit(), specs=[SPEC], shots=100, on_exhausted="degrade")
+
+    def test_run_and_submit_after_close_raise_typed_error(self):
+        svc = CutRunService(fake_5q_device())
+        svc.close()
+        _, error = _bounded(
+            lambda: svc.run(_circuit(), specs=[SPEC], shots=100, seed=1)
+        )
+        assert isinstance(error, ServiceClosedError)
+        with pytest.raises(ServiceClosedError):
+            svc.submit(_circuit(), specs=[SPEC], shots=100, seed=1)
+        with pytest.raises(ServiceClosedError):
+            svc.run_fragments(_tree(), svc.backend, shots=100, seed=1)
+
+    def test_close_fails_pending_jobs_instead_of_stranding_them(self):
+        # a long batch window keeps the request's jobs pending until close()
+        svc = CutRunService(fake_5q_device(), batch_window=60.0)
+        handle = svc.submit(_circuit(), specs=[SPEC], shots=100, seed=1)
+        deadline = time.monotonic() + 30.0
+        while svc.stats()["fragment_jobs"] < _tree().num_fragments:
+            assert time.monotonic() < deadline, "jobs never reached the queue"
+            time.sleep(0.01)
+        _, error = _bounded(svc.close)
+        assert error is None
+        _, error = _bounded(handle.result)
+        assert isinstance(error, ServiceClosedError)
+
+    def test_failed_job_is_not_replayed_to_later_requests(self):
+        """One transient failure reaches the request that hit it; the next
+        identical request executes again and matches the plain pipeline."""
+        from repro.exceptions import BackendError
+
+        class FailsOnce(CountingBackend):
+            def run_tree_variants(self, *args, **kwargs):
+                if self.tree_variant_calls == 0:
+                    self.tree_variant_calls += 1
+                    raise BackendError("first call fails")
+                return super().run_tree_variants(*args, **kwargs)
+
+        backend = FailsOnce()
+        kwargs = dict(specs=[SPEC], shots=300, seed=7)
+        plain = cut_and_run_tree(_circuit(), fake_5q_device(), **kwargs)
+        with CutRunService(backend) as svc:
+            _, error = _bounded(lambda: svc.run(_circuit(), **kwargs))
+            assert isinstance(error, BackendError)
+            again, error = _bounded(lambda: svc.run(_circuit(), **kwargs))
+            assert error is None
+        np.testing.assert_array_equal(again.probabilities, plain.probabilities)
+        # the failed job re-ran; the job that succeeded was served memoised
+        assert backend.tree_variant_calls == again.tree.num_fragments + 1
 
     def test_runner_rejects_foreign_backend_and_checkpoint(self):
         with CutRunService(fake_5q_device()) as svc:
