@@ -29,6 +29,7 @@ from repro.harness.scaling import (
     chain_cut_circuit,
     ghz_star_circuit,
     golden_chain_circuit,
+    golden_tree_circuit,
     tree_cut_circuit,
 )
 from repro.metrics import total_variation
@@ -303,3 +304,91 @@ class TestDagSearchHelpers:
         assert half_a | half_b == set(range(6))
         assert not half_a & half_b
         assert abs(len(half_a) - len(half_b)) <= 1
+
+
+#: cut-search circuits of the golden table
+_GOLDEN_CIRCUITS = {
+    "chain3": lambda: chain_cut_circuit(
+        3, cuts_per_group=1, fresh_per_fragment=2, depth=1, seed=3
+    )[0],
+    "chain4": lambda: chain_cut_circuit(
+        4, fresh_per_fragment=2, depth=2, seed=1
+    )[0],
+    "chain4-auto": lambda: chain_cut_circuit(4, fresh_per_fragment=2, seed=7)[0],
+    "tree": lambda: tree_cut_circuit(
+        [0, 0], cuts_per_group=1, fresh_per_fragment=2, depth=1, seed=4
+    )[0],
+    "golden-tree": lambda: golden_tree_circuit(
+        [0, 1], planted_groups=(0,), depth=1, seed=5
+    )[0],
+}
+
+#: search options of the golden table
+_GOLDEN_OPTIONS = {
+    "width": {},
+    "cost": {"objective": "cost"},
+    "cost-golden": {"objective": "cost", "golden_discount": True},
+    "chain": {"topology": "chain"},
+    "dag": {"topology": "dag"},
+    "nf3": {"num_fragments": 3},
+}
+
+#: (circuit, budget, options, engine asked) -> (specs as (wire, gate)
+#: lists, value, evaluations, engine used)
+_GOLDENS = [
+    ("chain3", 3, "width", "greedy", [[(3, 4)], [(1, 1)]], (2, 3, 3), 5, "greedy"),
+    ("chain3", 3, "width", "exhaustive", [[(1, 1)], [(3, 3)]], (2, 3, 3), 7, "exhaustive"),
+    ("chain3", 4, "cost", "greedy", [[(3, 4)]], 127.27304970999054, 8, "greedy"),
+    ("chain3", 3, "chain", "greedy", [[(1, 1)], [(3, 4)]], (2, 3, 3), 3, "greedy"),
+    ("chain3", 4, "nf3", "exhaustive", [[(1, 1)], [(3, 3)]], (2, 3, 3), 22, "exhaustive"),
+    ("chain4", 3, "width", "greedy", [[(3, 10)], [(5, 15)], [(1, 1)]], (3, 3, 4), 12, "greedy"),
+    ("chain4", 4, "width", "greedy", [[(3, 10)], [(5, 15)]], (2, 4, 3), 10, "greedy"),
+    ("chain4", 3, "cost", "greedy", [[(1, 4)], [(3, 10)], [(5, 18)]], 2256.1303555249756, 12, "greedy"),
+    ("chain4", 3, "cost-golden", "greedy", [[(3, 9)], [(5, 15)], [(1, 0)]], 286.0931316480408, 15, "greedy"),
+    ("chain4", 3, "chain", "greedy", [[(2, 5)], [(3, 10)], [(5, 15)]], (3, 3, 4), 5, "greedy"),
+    ("chain4", 4, "dag", "greedy", [[(3, 10)], [(5, 15)]], (2, 4, 3), 10, "greedy"),
+    ("chain4-auto", 4, "width", "auto", [[(3, 8)], [(5, 15)]], (2, 4, 3), 7, "greedy"),
+    ("tree", 3, "width", "greedy", [[(1, 2)], [(0, 1)]], (2, 3, 3), 9, "greedy"),
+    ("tree", 3, "width", "exhaustive", [[(0, 0)], [(1, 0)]], (2, 3, 3), 20, "exhaustive"),
+    ("tree", 4, "cost", "exhaustive", [[(0, 1)]], 85.36819315412482, 68, "exhaustive"),
+    ("tree", 3, "dag", "greedy", [[(1, 2)], [(0, 1)]], (2, 3, 3), 9, "greedy"),
+    ("tree", 4, "nf3", "greedy", [[(1, 2)], [(0, 1)]], (2, 3, 3), 10, "greedy"),
+    ("tree", 4, "chain", "greedy", [[(1, 2)]], (1, 4, 2), 5, "greedy"),
+    ("golden-tree", 3, "cost", "greedy", [[(1, 4)], [(0, 0)]], 1165.349848315561, 6, "greedy"),
+    ("golden-tree", 3, "cost", "exhaustive", [[(1, 1)], [(1, 2)]], 1063.2263896200275, 28, "exhaustive"),
+    ("golden-tree", 3, "cost-golden", "greedy", [[(1, 4)], [(0, 0)]], 345.2888439453514, 6, "greedy"),
+    ("golden-tree", 4, "cost-golden", "exhaustive", [[(1, 2)]], 118.13626551333638, 75, "exhaustive"),
+    ("golden-tree", 3, "dag", "exhaustive", [[(0, 0)], [(1, 2)]], (2, 3, 3), 58, "exhaustive"),
+    ("golden-tree", 3, "nf3", "greedy", [[(0, 0)], [(1, 2)]], (2, 3, 3), 5, "greedy"),
+]
+
+
+class TestSearchGoldens:
+    """Seeded search outputs pinned exactly: specs, objective value,
+    partitions scored and engine.  Greedy == exhaustive agreement alone
+    would not notice a reordered candidate list; these rows would."""
+
+    @pytest.mark.parametrize(
+        "circuit, budget, options, engine, specs, value, evaluations, used",
+        _GOLDENS,
+        ids=[f"{c}-b{b}-{o}-{e}" for c, b, o, e, *_ in _GOLDENS],
+    )
+    def test_search_output_pinned(
+        self, circuit, budget, options, engine, specs, value, evaluations, used
+    ):
+        res = search_cut_specs(
+            _GOLDEN_CIRCUITS[circuit](),
+            budget,
+            engine=engine,
+            seed=0,
+            **_GOLDEN_OPTIONS[options],
+        )
+        assert [
+            [(c.wire, c.gate_index) for c in s.cuts] for s in res.specs
+        ] == specs
+        if isinstance(value, tuple):
+            assert res.value == value
+        else:
+            assert res.value == pytest.approx(value, rel=1e-9)
+        assert res.evaluations == evaluations
+        assert res.engine == used
