@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuits.circuit import Circuit
+from repro.circuits.dag import CircuitDag
 from repro.exceptions import CutError
 
 __all__ = ["CutPoint", "CutSpec", "find_cuts"]
@@ -32,22 +33,7 @@ class CutPoint:
     gate_index: int
 
     def validate(self, circuit: Circuit) -> None:
-        if not 0 <= self.wire < circuit.num_qubits:
-            raise CutError(f"cut wire {self.wire} outside circuit")
-        if not 0 <= self.gate_index < len(circuit):
-            raise CutError(f"cut gate index {self.gate_index} outside circuit")
-        if self.wire not in circuit[self.gate_index].qubits:
-            raise CutError(
-                f"instruction {self.gate_index} does not touch wire {self.wire}"
-            )
-        last_on_wire = max(
-            i for i, inst in enumerate(circuit) if self.wire in inst.qubits
-        )
-        if self.gate_index == last_on_wire:
-            raise CutError(
-                f"cut after instruction {self.gate_index} severs nothing: "
-                f"it is the last instruction on wire {self.wire}"
-            )
+        CircuitDag(circuit).check_cut_point(self.wire, self.gate_index)
 
 
 @dataclass(frozen=True)
@@ -75,8 +61,9 @@ class CutSpec:
         return tuple(c.wire for c in self.cuts)
 
     def validate(self, circuit: Circuit) -> None:
+        dag = CircuitDag(circuit)
         for c in self.cuts:
-            c.validate(circuit)
+            dag.check_cut_point(c.wire, c.gate_index)
 
 
 def find_cuts(

@@ -1,8 +1,10 @@
 """Bipartitioning a circuit along a cut specification.
 
 Given a :class:`~repro.cutting.cut.CutSpec`, instructions are classified as
-*downstream* (DAG descendants of any cut point) or *upstream* (everything
-else).  The split is validated wire by wire: a wire crossing from upstream
+*downstream* (DAG descendants of any cut point, closed under whole-wire
+absorption of uncut wires — see
+:meth:`~repro.circuits.dag.CircuitDag.downstream_closure`) or *upstream*
+(everything else).  The split is validated wire by wire: a wire crossing from upstream
 to downstream must be cut exactly at its crossing point, and no wire may
 flow downstream→upstream (that would need time travel — i.e. the cut set
 does not induce a bipartition).
@@ -92,130 +94,103 @@ class FragmentPair:
         )
 
 
-def _downstream_closure(
-    circuit: Circuit, dag: CircuitDag, spec: CutSpec
-) -> set[int]:
-    """Smallest consistent downstream instruction set.
+def _split_frontier(
+    dag: CircuitDag, cuts: "list[tuple[int, int]]"
+) -> tuple[int, list[int], list[int]]:
+    """Downstream side of one cut set, validated as a bipartition.
 
-    Seeded with the DAG descendants of every cut point, then closed under
-    two rules until a fixpoint:
+    ``cuts`` are valid ``(wire, gate_index)`` points.  The downstream side
+    is :meth:`~repro.circuits.dag.CircuitDag.downstream_closure` — the
+    cut points' dependents, closed under reachability and whole-wire
+    absorption of uncut wires.  Returns ``(down_mask, q_up, q_down)``: the
+    downstream instruction bitmask and the two halves' ascending original
+    wires (untouched wires go downstream as idle wires).  Raises
+    :class:`CutError` naming the first violated rule: a cut anchor lies
+    downstream, a wire flows downstream→upstream, a crossing wire is not
+    cut at its boundary, a cut wire does not cross.
 
-    * *reachability*: anything depending on a downstream instruction is
-      downstream;
-    * *wire integrity*: a non-cut wire with any downstream instruction is
-      downstream in its entirety (wires cannot straddle the bipartition
-      unless they are cut).
-
-    The second rule is what places gates that merely *share a wire* with the
-    downstream block (but do not depend on the cut) into the downstream
-    fragment — e.g. an early gate acting only on the downstream register.
+    :func:`bipartition` and the greedy cut search's scorer both decide
+    validity here, so a scored candidate always splits for real.
     """
-    cut_wires = {c.wire for c in spec.cuts}
-    segs = {w: dag.wire_segments(w) for w in range(circuit.num_qubits)}
-    down: set[int] = set()
-    for cut in spec.cuts:
-        down |= dag.downstream_of_cut(cut.wire, cut.gate_index)
-    while True:
-        # reachability closure: one pass over topological order
-        for node in dag.topological_order():
-            if node not in down and any(
-                p in down for p in dag.predecessors(node)
-            ):
-                down.add(node)
-        # wire-integrity closure
-        added = False
-        for w, seq in segs.items():
-            if w in cut_wires:
-                continue
-            if any(i in down for i in seq):
-                for i in seq:
-                    if i not in down:
-                        down.add(i)
-                        added = True
-        if not added:
-            return down
-
-
-def bipartition(circuit: Circuit, spec: CutSpec) -> FragmentPair:
-    """Split ``circuit`` into upstream/downstream fragments along ``spec``."""
-    spec.validate(circuit)
-    dag = CircuitDag(circuit)
-
-    # 1. downstream = closure of the cut points' dependents
-    down_nodes = _downstream_closure(circuit, dag, spec)
-    up_nodes = set(range(len(circuit))) - down_nodes
+    down = dag.downstream_closure(cuts)
 
     # cut anchors must be upstream (otherwise the cuts are mutually cyclic)
-    for cut in spec.cuts:
-        if cut.gate_index in down_nodes:
+    for wire, gate_index in cuts:
+        if down >> gate_index & 1:
             raise CutError(
-                f"cut ({cut.wire},{cut.gate_index}) lies downstream of "
+                f"cut ({wire},{gate_index}) lies downstream of "
                 "another cut; the cut set does not induce a bipartition"
             )
 
-    # 2. per-wire validation: clean U-prefix / D-suffix split, crossing
-    #    wires must be cut at the boundary.
-    cut_by_wire = {c.wire: c for c in spec.cuts}
-    for wire in range(circuit.num_qubits):
-        segs = dag.wire_segments(wire)
-        labels = ["U" if i in up_nodes else "D" for i in segs]
-        # must be U...U D...D — scan once, remembering the boundary
-        seen_d = False
-        last_u = None
-        for i, lab in zip(segs, labels):
-            if lab == "D":
-                seen_d = True
-            else:
-                if seen_d:
-                    raise CutError(
-                        f"wire {wire} flows downstream→upstream at "
-                        f"instruction {i}; cut set invalid"
-                    )
-                last_u = i
-        crosses = ("U" in labels) and ("D" in labels)
-        if crosses:
-            cut = cut_by_wire.get(wire)
-            if cut is None:
+    # per-wire validation: clean U-prefix / D-suffix split, crossing wires
+    # must be cut at the boundary.
+    cut_at = dict(cuts)
+    q_up: list[int] = []
+    q_down: list[int] = []
+    for wire, mask in enumerate(dag.wire_masks):
+        down_part = mask & down
+        up_part = mask ^ down_part
+        if up_part:
+            q_up.append(wire)
+        if down_part or not mask:
+            q_down.append(wire)
+        if up_part and down_part:
+            first_down = (down_part & -down_part).bit_length() - 1
+            late_up = up_part >> first_down
+            if late_up:
+                at = first_down + (late_up & -late_up).bit_length() - 1
+                raise CutError(
+                    f"wire {wire} flows downstream→upstream at "
+                    f"instruction {at}; cut set invalid"
+                )
+            last_u = up_part.bit_length() - 1
+            if wire not in cut_at:
                 raise CutError(
                     f"wire {wire} crosses the bipartition but is not cut"
                 )
-            if cut.gate_index != last_u:
+            if cut_at[wire] != last_u:
                 raise CutError(
                     f"cut on wire {wire} sits at instruction "
-                    f"{cut.gate_index}, but the bipartition boundary is "
+                    f"{cut_at[wire]}, but the bipartition boundary is "
                     f"after instruction {last_u}"
                 )
-        elif wire in cut_by_wire:
+        elif wire in cut_at:
             raise CutError(
                 f"wire {wire} is cut but does not cross the bipartition "
                 "(nothing downstream on that wire)"
             )
 
-    # 3. fragment qubit sets
-    q_up = sorted({q for i in up_nodes for q in circuit[i].qubits})
-    q_down_used = {q for i in down_nodes for q in circuit[i].qubits}
-    touched = set(q_up) | q_down_used
-    untouched = [q for q in range(circuit.num_qubits) if q not in touched]
-    q_down = sorted(q_down_used | set(untouched))
-
-    cut_wires = set(spec.wires)
     overlap = set(q_up) & set(q_down)
-    if overlap != cut_wires:
+    if overlap != set(cut_at):
         raise CutError(
             f"fragments share wires {sorted(overlap)} but cuts are on "
-            f"{sorted(cut_wires)}"
+            f"{sorted(cut_at)}"
         )
+    return down, q_up, q_down
+
+
+def bipartition(circuit: Circuit, spec: CutSpec) -> FragmentPair:
+    """Split ``circuit`` into upstream/downstream fragments along ``spec``."""
+    dag = CircuitDag(circuit)
+    for cut in spec.cuts:
+        dag.check_cut_point(cut.wire, cut.gate_index)
+    down, q_up, q_down = _split_frontier(
+        dag, [(c.wire, c.gate_index) for c in spec.cuts]
+    )
 
     up_map = {orig: loc for loc, orig in enumerate(q_up)}
     down_map = {orig: loc for loc, orig in enumerate(q_down)}
-
     upstream = Circuit(len(q_up), name=f"{circuit.name}_up")
-    for i in sorted(up_nodes):
-        upstream.append(circuit[i].remap(up_map))
     downstream = Circuit(len(q_down), name=f"{circuit.name}_down")
-    for i in sorted(down_nodes):
-        downstream.append(circuit[i].remap(down_map))
+    down_nodes: list[int] = []
+    for i, inst in enumerate(circuit):
+        if down >> i & 1:
+            down_nodes.append(i)
+            downstream.append(inst.remap(down_map))
+        else:
+            upstream.append(inst.remap(up_map))
 
+    cut_wires = set(spec.wires)
     up_out_original = [q for q in q_up if q not in cut_wires]
     down_out_original = list(q_down)
 
@@ -230,5 +205,5 @@ def bipartition(circuit: Circuit, spec: CutSpec) -> FragmentPair:
         down_out_local=[down_map[q] for q in down_out_original],
         down_out_original=down_out_original,
         spec=spec,
-        down_node_indices=tuple(sorted(down_nodes)),
+        down_node_indices=tuple(down_nodes),
     )

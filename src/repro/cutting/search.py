@@ -17,10 +17,15 @@ bipartitions.  Two engines sit behind the one API:
   canonical order plus orders biased by a Kernighan–Lin balanced min-cut
   of the qubit-interaction graph
   (:meth:`~repro.circuits.dag.CircuitDag.balanced_qubit_bisection`).
-  A small beam of first splits is completed by best-first recursion with
-  backtracking, the best completion is chosen by the objective, and a
-  hill-climb then shifts individual cut points along their wires (and
-  tries dropping whole groups) while improvement lasts.
+  Every prefix is scored on the piece's DAG bitmasks — the downstream
+  closure (:meth:`~repro.circuits.dag.CircuitDag.downstream_closure`) and
+  the frontier checks :func:`~repro.cutting.fragments.bipartition` itself
+  runs — so ranking builds no fragment; a candidate's halves are built
+  only when the search takes it, in rank order.  A small beam of first
+  splits is completed by best-first recursion with backtracking, the best
+  completion is chosen by the objective, and a hill-climb then shifts
+  individual cut points along their wires (and tries dropping whole
+  groups) while improvement lasts.
 
 Objectives (``objective=``):
 
@@ -49,16 +54,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDag
 from repro.cutting.cut import CutPoint, CutSpec
+from repro.cutting.fragments import _split_frontier
 # The searcher deliberately reuses the worklist-bipartition internals of
-# partition_tree (same package): every split it explores is exactly one
-# _cut_piece step, so an emitted spec sequence replays identically.
+# partition_tree (same package): every split it builds is exactly one
+# _cut_piece step, so an emitted spec sequence replays identically, and the
+# greedy scorer checks candidates with the same frontier and group-placement
+# rules (_split_frontier, _carry_groups) before building any of them.
 from repro.cutting.tree import (
     FragmentTree,
     _assemble,
+    _carry_groups,
     _cut_piece,
     _Piece,
     partition_tree,
@@ -490,7 +500,9 @@ def _biased_topological_order(
     """
     import heapq
 
-    indegree = {node: dag.graph.in_degree(node) for node in dag.graph}
+    indegree = {
+        node: len(dag.predecessors(node)) for node in range(len(circuit))
+    }
 
     def rank(node: int) -> tuple[int, int]:
         inside = all(q in prefer for q in circuit[node].qubits)
@@ -509,14 +521,36 @@ def _biased_topological_order(
     return order
 
 
+def _score_split(piece: _Piece, dag: CircuitDag, points, group: int):
+    """What :func:`_split_piece` would make of ``points``, without building it.
+
+    Runs the same frontier check :func:`~repro.cutting.fragments
+    .bipartition` runs and the same earlier-group placement
+    :func:`~repro.cutting.tree._cut_piece` runs, on ``dag``'s bitmasks.
+    Returns ``(up_mask, (up_width, down_width))`` — the upstream half's
+    piece-local instruction bitmask and both halves' widths — or ``None``
+    exactly when :func:`_split_piece` would raise :class:`CutError`.
+    """
+    try:
+        down, q_up, q_down = _split_frontier(dag, points)
+        _carry_groups(piece, q_up, q_down, f"cut group {group}")
+    except CutError:
+        return None
+    full = (1 << len(piece.circuit)) - 1
+    return full & ~down, (len(q_up), len(q_down))
+
+
 def _prefix_splits(ctx: _SearchContext, piece: _Piece, group: int):
-    """Ranked candidate splits of one piece from topological prefixes.
+    """Candidate splits of one piece from topological prefixes, best first.
 
     Any prefix of a topological instruction order is downward-closed, so
-    it induces a valid bipartition whose cut points are the last prefix
-    instruction on each crossing wire; enumerating prefixes of a few
-    well-chosen orders covers balanced and min-cut-shaped splits without
-    combinatorial blowup.
+    it induces a candidate bipartition whose cut points are the last
+    prefix instruction on each crossing wire; enumerating prefixes of a
+    few well-chosen orders covers balanced and min-cut-shaped splits
+    without combinatorial blowup.  Every prefix is scored on the piece's
+    DAG bitmasks (:func:`_score_split`) and ranked by ``(cuts, max width,
+    width imbalance, discovery order)``; the generator then builds the
+    ``(spec, halves)`` of each candidate only when the caller takes it.
     """
     circuit = piece.circuit
     num_qubits = circuit.num_qubits
@@ -530,36 +564,35 @@ def _prefix_splits(ctx: _SearchContext, piece: _Piece, group: int):
         orders.append(_biased_topological_order(circuit, dag, half_b))
 
     seen: set = set()
-    candidates = []
+    ranked = []
     for order in orders:
-        prefix: set[int] = set()
+        counts = [0] * num_qubits
         for node in order[:-1]:
-            prefix.add(node)
-            points = []
-            for wire in range(num_qubits):
-                in_prefix = [i for i in segments[wire] if i in prefix]
-                if in_prefix and len(in_prefix) < len(segments[wire]):
-                    points.append((wire, in_prefix[-1]))
+            for wire in circuit[node].qubits:
+                counts[wire] += 1
+            # a prefix holds the first counts[w] gates of every wire w
+            points = [
+                (wire, seg[c - 1])
+                for wire, (seg, c) in enumerate(zip(segments, counts))
+                if 0 < c < len(seg)
+            ]
             if not points or len(points) > ctx.max_cuts:
                 continue
-            try:
-                spec, halves = _split_piece(piece, points, group)
-            except CutError:
+            scored = _score_split(piece, dag, points, group)
+            if scored is None or scored[0] in seen:
                 continue
-            signature = frozenset(halves[0].inst_orig)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            widths = [h.circuit.num_qubits for h in halves]
+            seen.add(scored[0])
+            widths = scored[1]
             key = (
-                spec.num_cuts,
+                len(points),
                 max(widths),
                 abs(widths[0] - widths[1]),
-                len(candidates),
+                len(ranked),
             )
-            candidates.append((key, spec, halves))
-    candidates.sort(key=lambda c: c[0])
-    return [(spec, halves) for _, spec, halves in candidates]
+            ranked.append((key, points))
+    ranked.sort()
+    for _, points in ranked:
+        yield _split_piece(piece, points, group)
 
 
 def _complete_greedily(
@@ -590,9 +623,9 @@ def _complete_greedily(
     ):
         return None
     j = max(need, key=lambda i: widths[i])
-    for spec, halves in _prefix_splits(ctx, pieces[j], len(specs))[
-        :_BRANCH_WIDTH
-    ]:
+    for spec, halves in islice(
+        _prefix_splits(ctx, pieces[j], len(specs)), _BRANCH_WIDTH
+    ):
         if spec.num_cuts > remaining:
             continue
         done = _complete_greedily(
@@ -653,7 +686,7 @@ def _greedy(ctx: _SearchContext):
     """Beam over first splits, greedy completion, objective pick, climb."""
     root = ctx.root_piece()
     solutions: list = []
-    for spec, halves in _prefix_splits(ctx, root, 0)[:_BEAM_WIDTH]:
+    for spec, halves in islice(_prefix_splits(ctx, root, 0), _BEAM_WIDTH):
         completed = _complete_greedily(ctx, halves, [spec], spec.num_cuts)
         if completed is not None:
             solutions.append(completed)

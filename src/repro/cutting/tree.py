@@ -708,35 +708,21 @@ def _translate_spec(
     return CutSpec(tuple(points))
 
 
-def _cut_piece(
-    piece: _Piece, specs_by_group: "dict[int, CutSpec]"
-) -> list[_Piece]:
-    """Bipartition one piece along one or more co-cut groups at once.
+def _carry_groups(
+    piece: _Piece, q_up: "list[int]", q_down: "list[int]", label: str
+):
+    """Place a piece's earlier groups in the two halves of one split.
 
-    The combined spec concatenates the groups' cut points in ascending
-    group order (one frontier, one :func:`bipartition` call); the flat
-    cut-wire lists slice back into per-group lists positionally.  Earlier
-    groups' wires must land whole in one half: a preparation wire lives
-    where the wire *starts* (the up half when a new spec re-cuts it), a
-    measurement wire where it *ends* (the down half in that case).
+    ``q_up``/``q_down`` are the halves' ascending piece-local wires.
+    Earlier groups' wires must land whole in one half: a preparation wire
+    lives where the wire *starts* (the up half when the split re-cuts it),
+    a measurement wire where it *ends* (the down half in that case).
+    Returns ``(up_exiting, down_exiting, up_entering, down_entering)`` in
+    half-local wires, or raises :class:`CutError` when a group would be
+    split across the halves.
     """
-    order = sorted(specs_by_group)
-    local = {
-        h: _translate_spec(
-            specs_by_group[h], h, piece.wire_orig, piece.inst_orig
-        )
-        for h in order
-    }
-    label = "cut group " + ", ".join(str(h) for h in order)
-    combined = CutSpec(tuple(pt for h in order for pt in local[h].cuts))
-    pair = bipartition(piece.circuit, combined)
-    cut_wires = {c.wire for c in combined.cuts}
-    q_up = sorted(set(pair.up_out_original) | cut_wires)
     up_map = {w: i for i, w in enumerate(q_up)}
-    down_map = {w: i for i, w in enumerate(pair.down_out_original)}
-    down_nodes = set(pair.down_node_indices)
-    up_nodes = [i for i in range(len(piece.circuit)) if i not in down_nodes]
-
+    down_map = {w: i for i, w in enumerate(q_down)}
     up_exiting: dict[int, list[int]] = {}
     down_exiting: dict[int, list[int]] = {}
     for h, wires in piece.exiting.items():
@@ -771,6 +757,36 @@ def _cut_piece(
             # fragment now receives wires from h and the new groups — a
             # joint-prep DAG node (this used to raise "a DAG, not a tree")
             down_entering[h] = [down_map[w] for w in wires]
+    return up_exiting, down_exiting, up_entering, down_entering
+
+
+def _cut_piece(
+    piece: _Piece, specs_by_group: "dict[int, CutSpec]"
+) -> list[_Piece]:
+    """Bipartition one piece along one or more co-cut groups at once.
+
+    The combined spec concatenates the groups' cut points in ascending
+    group order (one frontier, one :func:`bipartition` call); the flat
+    cut-wire lists slice back into per-group lists positionally; earlier
+    groups move with :func:`_carry_groups`.
+    """
+    order = sorted(specs_by_group)
+    local = {
+        h: _translate_spec(
+            specs_by_group[h], h, piece.wire_orig, piece.inst_orig
+        )
+        for h in order
+    }
+    label = "cut group " + ", ".join(str(h) for h in order)
+    combined = CutSpec(tuple(pt for h in order for pt in local[h].cuts))
+    pair = bipartition(piece.circuit, combined)
+    cut_wires = {c.wire for c in combined.cuts}
+    q_up = sorted(set(pair.up_out_original) | cut_wires)
+    up_exiting, down_exiting, up_entering, down_entering = _carry_groups(
+        piece, q_up, pair.down_out_original, label
+    )
+    down_nodes = set(pair.down_node_indices)
+    up_nodes = [i for i in range(len(piece.circuit)) if i not in down_nodes]
     off = 0
     for h in order:
         k = local[h].num_cuts

@@ -1,4 +1,4 @@
-"""Brute-force reconstruction oracles (the semantics the fast kernels match).
+"""Brute-force oracles (the semantics the fast kernels match).
 
 One Python iteration per basis row and per preparation eigenstate, straight
 from the paper's Eq. 13 applied to both sides of a fragment, and one
@@ -8,12 +8,17 @@ avoids.  The record resolution (``I``-fallback, eigenstate expansion,
 signs) is the library's own :func:`~repro.cutting.reconstruction._chain_row_runs`
 iterator, which the variance model shares, so oracle, kernel and variance
 model agree on which variant serves which row.
+
+:func:`downstream_closure_reference` is the networkx form of the cutter's
+downstream closure, which :class:`~repro.circuits.dag.CircuitDag` computes
+on bitmasks.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 
 from repro.cutting.reconstruction import (
@@ -27,6 +32,7 @@ from repro.utils.bits import permute_probability_axes
 __all__ = [
     "build_chain_fragment_tensor_reference",
     "build_tree_fragment_tensor_reference",
+    "downstream_closure_reference",
     "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution_reference",
 ]
@@ -119,3 +125,37 @@ def reconstruct_chain_distribution_reference(
     return reconstruct_tree_distribution_reference(
         data, bases=bases, postprocess=postprocess
     )
+
+
+def downstream_closure_reference(circuit, points) -> set[int]:
+    """Downstream instruction set of ``(wire, gate_index)`` cut points.
+
+    Reference semantics for
+    :meth:`repro.circuits.dag.CircuitDag.downstream_closure`: on a
+    networkx wire-dependency graph built here, the seeds are
+    ``nx.descendants`` of the first gate after each cut; reachability and
+    whole-wire absorption of uncut wires then repeat until nothing changes.
+    """
+    wires = [
+        [i for i, inst in enumerate(circuit) if q in inst.qubits]
+        for q in range(circuit.num_qubits)
+    ]
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(circuit)))
+    for seq in wires:
+        graph.add_edges_from(zip(seq, seq[1:]))
+    cut_wires = {w for w, _ in points}
+    down: set[int] = set()
+    for w, g in points:
+        first = wires[w][wires[w].index(g) + 1]
+        down |= nx.descendants(graph, first) | {first}
+    while True:
+        grown = set(down)
+        for node in down:
+            grown |= nx.descendants(graph, node)
+        for w, seq in enumerate(wires):
+            if w not in cut_wires and grown & set(seq):
+                grown |= set(seq)
+        if grown == down:
+            return down
+        down = grown

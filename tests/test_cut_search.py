@@ -23,7 +23,14 @@ from repro.circuits.dag import CircuitDag
 from repro.core.pipeline import cut_and_run_chain, cut_and_run_tree
 from repro.cutting import CutSpec, find_cut_specs, find_cuts, partition_tree
 from repro.cutting.chain import partition_chain
-from repro.cutting.search import CutSearchResult, search_cut_specs
+from repro.cutting.search import (
+    CutSearchResult,
+    _biased_topological_order,
+    _score_split,
+    _split_piece,
+    search_cut_specs,
+)
+from repro.cutting.tree import _Piece
 from repro.exceptions import CutError
 from repro.harness.scaling import (
     chain_cut_circuit,
@@ -36,6 +43,7 @@ from repro.metrics import total_variation
 from repro.sim import simulate_statevector
 
 from helpers import two_block_circuit
+from oracles import downstream_closure_reference
 
 
 def _search_family(seed: int) -> Circuit:
@@ -392,3 +400,133 @@ class TestSearchGoldens:
             assert res.value == pytest.approx(value, rel=1e-9)
         assert res.evaluations == evaluations
         assert res.engine == used
+
+
+def _with_idle_wire(qc: Circuit) -> Circuit:
+    """``qc`` widened by one wire no instruction touches."""
+    return Circuit(qc.num_qubits + 1, qc.instructions, name=qc.name)
+
+
+def _prefix_points(dag: CircuitDag, order, k: int):
+    """Cut points of the first ``k`` instructions of a topological order."""
+    prefix = set(order[:k])
+    points = []
+    for wire in range(dag.circuit.num_qubits):
+        seg = dag.wire_segments(wire)
+        inside = [i for i in seg if i in prefix]
+        if inside and len(inside) < len(seg):
+            points.append((wire, inside[-1]))
+    return points
+
+
+def _root_piece(qc: Circuit) -> _Piece:
+    return _Piece(
+        circuit=qc,
+        wire_orig=list(range(qc.num_qubits)),
+        inst_orig=list(range(len(qc))),
+        entering={},
+        exiting={},
+    )
+
+
+class TestFrontierProperties:
+    """The bitmask frontier primitive against networkx, and the greedy
+    scorer against the fragments it stands in for."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_qubits=st.integers(min_value=2, max_value=6),
+        depth=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        idle=st.booleans(),
+        data=st.data(),
+    )
+    def test_closure_matches_networkx(
+        self, num_qubits, depth, seed, idle, data
+    ):
+        qc = random_circuit(num_qubits, depth=depth, seed=seed)
+        if idle:
+            qc = _with_idle_wire(qc)
+        dag = CircuitDag(qc)
+        positions = dag.wire_cut_positions()
+        if not positions:
+            return
+        chosen = data.draw(
+            st.lists(
+                st.sampled_from(positions),
+                min_size=1,
+                max_size=3,
+                unique_by=lambda p: p[0],
+            )
+        )
+        got = CircuitDag.mask_nodes(dag.downstream_closure(chosen))
+        assert got == downstream_closure_reference(qc, chosen)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_qubits=st.integers(min_value=3, max_value=6),
+        depth=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        idle=st.booleans(),
+        data=st.data(),
+    )
+    def test_scorer_matches_built_split(
+        self, num_qubits, depth, seed, idle, data
+    ):
+        qc = random_circuit(num_qubits, depth=depth, seed=seed)
+        if idle:
+            qc = _with_idle_wire(qc)
+        # grow pieces carrying entering and exiting groups by splitting
+        # random pieces at random valid prefixes
+        pieces = [_root_piece(qc)]
+        for group in range(2):
+            piece = data.draw(st.sampled_from(pieces))
+            order = list(range(len(piece.circuit)))
+            splits = []
+            for k in range(1, len(order)):
+                points = _prefix_points(CircuitDag(piece.circuit), order, k)
+                if not points:
+                    continue
+                try:
+                    splits.append(_split_piece(piece, points, group)[1])
+                except CutError:
+                    continue
+            if splits:
+                pieces.extend(data.draw(st.sampled_from(splits)))
+        group = 2
+        for piece in pieces:
+            dag = CircuitDag(piece.circuit)
+            n = len(piece.circuit)
+            orders = [list(range(n))]
+            prefer = data.draw(
+                st.sets(st.integers(0, piece.circuit.num_qubits - 1))
+            )
+            orders.append(_biased_topological_order(piece.circuit, dag, prefer))
+            for order in orders:
+                for k in range(1, n):
+                    points = _prefix_points(dag, order, k)
+                    if not points:
+                        continue
+                    scored = _score_split(piece, dag, points, group)
+                    try:
+                        _, halves = _split_piece(piece, points, group)
+                    except CutError:
+                        assert scored is None
+                        continue
+                    assert scored is not None
+                    up_mask, widths = scored
+                    assert {
+                        piece.inst_orig[i]
+                        for i in CircuitDag.mask_nodes(up_mask)
+                    } == set(halves[0].inst_orig)
+                    assert widths == tuple(
+                        h.circuit.num_qubits for h in halves
+                    )
