@@ -563,6 +563,7 @@ def _prefix_splits(ctx: _SearchContext, piece: _Piece, group: int):
         orders.append(_biased_topological_order(circuit, dag, half_a))
         orders.append(_biased_topological_order(circuit, dag, half_b))
 
+    tried: set = set()
     seen: set = set()
     ranked = []
     for order in orders:
@@ -578,6 +579,10 @@ def _prefix_splits(ctx: _SearchContext, piece: _Piece, group: int):
             ]
             if not points or len(points) > ctx.max_cuts:
                 continue
+            # orders share many prefixes; a repeat scores the same again
+            if tuple(points) in tried:
+                continue
+            tried.add(tuple(points))
             scored = _score_split(piece, dag, points, group)
             if scored is None or scored[0] in seen:
                 continue
