@@ -17,9 +17,11 @@ per-node "descendants including self" mask, filled in reverse program
 order.  :meth:`CircuitDag.downstream_closure` — the frontier primitive both
 :func:`~repro.cutting.fragments.bipartition` and the greedy cut search
 score with — is a handful of integer ORs on them, so the searcher can rank
-every candidate split without building a fragment.  :mod:`networkx` only
-backs the :attr:`CircuitDag.graph` view and the Kernighan–Lin qubit
-bisection.
+every candidate split without building a fragment.  Layering,
+reachability and the cut queries run on these lists and masks;
+:mod:`networkx` only backs the :attr:`CircuitDag.graph` view (built on
+first access, for callers and tests that want graph algorithms) and the
+qubit-interaction graph of the Kernighan–Lin bisection.
 """
 
 from __future__ import annotations
