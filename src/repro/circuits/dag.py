@@ -90,7 +90,7 @@ class CircuitDag:
         return self._succs[node]
 
     def topological_order(self) -> list[int]:
-        """Program order — every edge points from a lower to a higher index."""
+        """Program order: every edge points to a higher index."""
         return list(range(len(self.circuit)))
 
     def layers(self) -> list[list[int]]:
@@ -230,7 +230,9 @@ class CircuitDag:
             cut_wires.add(wire)
             down |= desc[self._first_after(wire, gate_index)]
         uncut = [
-            m for w, m in enumerate(self.wire_masks) if w not in cut_wires and m
+            m
+            for w, m in enumerate(self.wire_masks)
+            if m and w not in cut_wires
         ]
         while True:
             grown = down
@@ -241,10 +243,8 @@ class CircuitDag:
             if not fresh:
                 return down
             # the absorbed instructions' descendants join too
-            while fresh:
-                low = fresh & -fresh
-                grown |= desc[low.bit_length() - 1]
-                fresh ^= low
+            for node in self.mask_nodes(fresh):
+                grown |= desc[node]
             down = grown
 
     # ------------------------------------------------------------------

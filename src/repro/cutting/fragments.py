@@ -4,10 +4,10 @@ Given a :class:`~repro.cutting.cut.CutSpec`, instructions are classified as
 *downstream* (DAG descendants of any cut point, closed under whole-wire
 absorption of uncut wires — see
 :meth:`~repro.circuits.dag.CircuitDag.downstream_closure`) or *upstream*
-(everything else).  The split is validated wire by wire: a wire crossing from upstream
-to downstream must be cut exactly at its crossing point, and no wire may
-flow downstream→upstream (that would need time travel — i.e. the cut set
-does not induce a bipartition).
+(everything else).  The split is validated wire by wire: a wire crossing
+from upstream to downstream must be cut exactly at its crossing point, and
+no wire may flow downstream→upstream (that would need time travel — i.e.
+the cut set does not induce a bipartition).
 
 The result is a :class:`FragmentPair` holding two local circuits plus the
 book-keeping needed to reassemble measurement records:
