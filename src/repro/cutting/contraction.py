@@ -34,7 +34,7 @@ golden-reduced) basis pools.  The cost model prices one merge as
 
     ``prod(result dims) × prod(shared group rows)``
 
-i.e. the FLOP count of the ``tensordot`` the executor will issue —
+i.e. the FLOP count of the GEMM the executor will issue —
 ``D_a · D_b · Π_{g open on either side} R_g``.
 """
 
@@ -223,7 +223,7 @@ def merge_cost(spec: NetworkSpec, a: _Cluster, b: _Cluster) -> float:
     """Predicted FLOPs of merging two clusters.
 
     ``D_a · D_b · Π R_g`` over every group open on either side — the
-    element count of the tensordot's implicit loop nest (shared axes are
+    element count of the merge GEMM's implicit loop nest (shared axes are
     summed over, surviving axes materialise in the result).
     """
     cost = a.dim * b.dim

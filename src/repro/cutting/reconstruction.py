@@ -142,8 +142,9 @@ def _normalise_bases(
 # cuts into per-cut transfer matrices, so neglected pools just slice rows
 # off individual cuts' factors — the paper's O(4^{K_r} 3^{K_g}) reduction
 # applies per cut group.  The contraction merges clusters of fragments
-# pairwise along a plan, one tensordot per merge, so per-group row counts
-# only ever meet their neighbours and never multiply globally.
+# pairwise along a plan, one GEMM per merge written straight into the
+# merged cluster's layout, so per-group row counts only ever meet their
+# neighbours and never multiply globally.
 
 
 def _tree_of(data):
@@ -269,6 +270,8 @@ class _NetCluster:
     carrying original qubit ``labels[j]``.  ``k_closed`` counts the cuts
     of groups contracted *inside* the cluster (normalisation bookkeeping
     of the pruning bound), ``members`` the fragment indices absorbed.
+    On the pruned path ``v`` holds each kept column's outcome value (the
+    column index on the dense path, where ``v`` is ``None``).
     """
 
     __slots__ = ("groups", "t", "labels", "members", "k_closed", "v")
@@ -310,38 +313,91 @@ def _network_clusters(tensors, tree, group_bases, vals=None):
     return clusters
 
 
+def _sorted_columns(c: "_NetCluster") -> "_NetCluster":
+    """``c`` with its output columns reordered so its labels ascend.
+
+    Pure data movement: output bit ``j`` of the result carries the
+    ``j``-th smallest original qubit of ``c.labels``.  Column values
+    (``c.v`` on the pruned path, the column index on the dense path) get
+    their bits permuted and the columns are gathered in ascending value
+    order, so a pruned cluster that kept every column moves exactly like
+    the dense one.
+    """
+    perm = sorted(range(len(c.labels)), key=c.labels.__getitem__)
+    labels = [c.labels[p] for p in perm]
+    if labels == c.labels:
+        return c
+    cols = np.arange(c.t.shape[-1]) if c.v is None else c.v
+    vals = np.zeros_like(cols)
+    j = 0
+    while j < len(perm):
+        # move each run of consecutive old bits in one shift
+        end = j + 1
+        while end < len(perm) and perm[end] == perm[end - 1] + 1:
+            end += 1
+        mask = (1 << (end - j)) - 1
+        vals |= ((cols >> perm[j]) & mask) << j
+        j = end
+    order = np.argsort(vals)
+    return _NetCluster(
+        groups=c.groups,
+        t=c.t[..., order],
+        labels=labels,
+        members=c.members,
+        k_closed=c.k_closed,
+        v=None if c.v is None else vals[order],
+    )
+
+
 def _merge_clusters(a: "_NetCluster", b: "_NetCluster", group_sizes):
     """Contract two clusters over their shared open group axes.
 
-    Shared axes are summed by one ``tensordot``; surviving group axes
-    stay leading in ``a``-then-``b`` order and the two output axes merge
-    into one flat axis with ``a``'s bits least significant
-    (``labels = a.labels + b.labels``).  On the dense path the column
-    index *is* the outcome value, so ``a``'s axis is raveled fastest; on
-    the pruned path the kept columns' values live in ``v`` instead
-    (``v_b`` shifted past ``a``'s bits) and the ravel keeps ``a``
-    slowest.  With no shared group (disconnected halves of a multi-source
-    DAG) the merge degenerates to an outer product.
+    One (batched) GEMM whose result is already in the merged cluster's
+    layout ``(open groups of a.., open groups of b.., D_b, D_a)``:
+
+    .. code-block:: text
+
+        B(GB·D_b, S) @ A(GA, S, D_a)  ->  (GA, GB·D_b, D_a)
+
+    with ``S`` the joint row count of the shared groups.  Only the two
+    operands are copied into those shapes; the merged tensor is a free
+    reshape of the product, never a transposing copy.  The flat output
+    column keeps ``a``'s columns fastest (``labels = a.labels +
+    b.labels``): on the dense path the column index *is* the outcome
+    value, on the pruned path the kept columns' values ``v`` merge in the
+    same order (``v_b`` shifted past ``a``'s bits), so both paths share
+    this arithmetic and ``top_k(2^n)`` stays bit-identical to dense.
+
+    The merge that closes the last open groups first sorts each side's
+    columns by original qubit (:func:`_sorted_columns`, a copy of the
+    small operands), so the caller's final permutation to qubit order
+    moves a few long runs of bits instead of single bits.  With no shared
+    group (disconnected halves of a multi-source DAG) ``S = 1`` and the
+    merge is an outer product.
     """
     shared = [g for g in a.groups if g in b.groups]
-    ia = [a.groups.index(g) for g in shared]
-    ib = [b.groups.index(g) for g in shared]
-    t = np.tensordot(a.t, b.t, axes=(ia, ib))
-    na = len(a.groups) - len(shared)
-    # tensordot axes: (gA.., D_a, gB.., D_b)
-    if a.v is None:
-        # dense: (.., D_b, D_a) so the C-order reshape leaves a's bits
-        # least significant in the flat column index
-        t = np.moveaxis(t, na, -1)
-        v = None
-    else:
-        # pruned: (.., kept_a, kept_b) matching the v merge's ravel order
-        t = np.moveaxis(t, na, -2)
-        v = (a.v[:, None] | (b.v << len(a.labels))[None, :]).ravel()
-    t = t.reshape(t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
+    open_a = [i for i, g in enumerate(a.groups) if g not in shared]
+    open_b = [i for i, g in enumerate(b.groups) if g not in shared]
+    if not open_a and not open_b:
+        a, b = _sorted_columns(a), _sorted_columns(b)
+    sa = [a.groups.index(g) for g in shared]
+    sb = [b.groups.index(g) for g in shared]
+    ga = tuple(a.t.shape[i] for i in open_a)
+    gb = tuple(b.t.shape[i] for i in open_b)
+    s = math.prod(a.t.shape[i] for i in sa)
+    d_a, d_b = a.t.shape[-1], b.t.shape[-1]
+    A = a.t.transpose(open_a + sa + [len(a.groups)]).reshape(
+        math.prod(ga), s, d_a
+    )
+    B = b.t.transpose(open_b + [len(b.groups)] + sb).reshape(
+        math.prod(gb) * d_b, s
+    )
+    t = np.matmul(B, A).reshape(ga + gb + (d_b * d_a,))
+    v = None
+    if a.v is not None:
+        v = (a.v[None, :] | (b.v << len(a.labels))[:, None]).ravel()
     return _NetCluster(
-        groups=[g for g in a.groups if g not in shared]
-        + [g for g in b.groups if g not in shared],
+        groups=[a.groups[i] for i in open_a] + [b.groups[i] for i in open_b],
         t=t,
         labels=a.labels + b.labels,
         members=a.members | b.members,
@@ -399,11 +455,12 @@ def _contract_network(
 
     Node tensors (from :func:`build_tree_fragment_tensor`, or the variance
     model's substituted moments) are split into one row axis per incident
-    group and merged pairwise in ``plan`` order; each merge is one
-    ``tensordot`` over the groups the two clusters share.  Returns the
-    joint output vector together with the original-qubit label of every
-    bit — callers permute with
-    :func:`~repro.utils.bits.permute_probability_axes`.
+    group and merged pairwise in ``plan`` order; each merge is one GEMM
+    over the groups the two clusters share (:func:`_merge_clusters`).
+    Returns the joint output vector together with the original-qubit
+    label of every bit — callers permute with
+    :func:`~repro.utils.bits.permute_probability_axes`.  The vector is
+    the last merge's fresh product, never a view of an input tensor.
     """
     group_bases = _normalise_chain_bases(bases, tree.group_sizes)
     last = _walk_plan(
@@ -670,11 +727,16 @@ def reconstruct_tree_distribution(
     The single reconstruction engine: every node's reduced tensor is built
     once, then the fragment network is contracted pairwise along a
     :class:`~repro.cutting.contraction.ContractionPlan` — each merge is one
-    ``tensordot`` over the cut-group row axes the two clusters share, so
-    per-group row counts meet only their neighbours and never multiply
-    globally.  ``data`` is :class:`~repro.cutting.execution.TreeFragmentData`
-    of a tree or DAG; the paper's single cut is the 2-node tree, and
-    chains run through :func:`reconstruct_chain_distribution`.  ``bases``
+    GEMM over the cut-group row axes the two clusters share, written in
+    the merged layout, so per-group row counts meet only their neighbours
+    and never multiply globally.  The dense tail then makes at most one
+    permuting copy of the ``2^n`` result, to qubit order, into a buffer
+    this call owns, and runs the exact ``1/2^K`` scale and the ``"clip"``
+    postprocess in place on it: a dense reconstruction holds at most two
+    ``2^n`` arrays at once.  ``data`` is
+    :class:`~repro.cutting.execution.TreeFragmentData` of a tree or DAG;
+    the paper's single cut is the 2-node tree, and chains run through
+    :func:`reconstruct_chain_distribution`.  ``bases``
     lists per-group per-cut basis pools (``bases[g][k]``; ``None`` = full
     ``{I,X,Y,Z}``), letting golden cuts neglect elements group by group —
     each group's Kronecker factors are sliced independently.
@@ -722,9 +784,10 @@ def reconstruct_tree_distribution(
         for i in range(tree.num_fragments)
     ]
     v, order = _contract_network(tensors, tree, plan, bases)
-    full = permute_probability_axes(
-        v / float(1 << tree.total_cuts), order
-    )
+    # v is this call's own array (a view of it for an identity order), so
+    # the scale and the postprocess may run in place
+    full = permute_probability_axes(v, order)
+    full /= float(1 << tree.total_cuts)
     return _postprocess(full, postprocess)
 
 
@@ -816,16 +879,23 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _postprocess(vec, mode: str):
+    """Apply ``postprocess=`` to a dense vector; ``"clip"`` works in place.
+
+    Callers pass a buffer they own: ``"raw"`` returns it as is and
+    ``"clip"`` clips, sums and divides inside it (``"simplex"`` returns a
+    new array).
+    """
     if isinstance(vec, SparseDistribution):
         return postprocess_sparse(vec, mode)
     if mode == "raw":
         return vec
     if mode == "clip":
-        out = np.clip(vec, 0.0, None)
+        out = np.clip(vec, 0.0, None, out=vec)
         s = out.sum()
         if s <= 0:
             raise ReconstructionError("reconstruction clipped to zero mass")
-        return out / s
+        out /= s
+        return out
     if mode == "simplex":
         return project_to_simplex(vec)
     raise ReconstructionError(f"unknown postprocess mode {mode!r}")

@@ -95,6 +95,8 @@ def tree_reconstruction_variance(data, bases=None) -> np.ndarray:
     ]
     plan = _resolve_plan(tree, bases, None)
     scale = 1.0 / float(4**tree.total_cuts)
+    # every term is contracted along the same plan, so all share one bit
+    # order: sum in contraction order and permute once
     total = np.zeros(1 << n_total)
     for v in range(tree.num_fragments):
         tensors = [
@@ -102,8 +104,8 @@ def tree_reconstruction_variance(data, bases=None) -> np.ndarray:
             for i in range(tree.num_fragments)
         ]
         vec, order = _contract_network(tensors, tree, plan, bases)
-        total += permute_probability_axes(vec, order)
-    return scale * total
+        total += vec
+    return scale * permute_probability_axes(total, order)
 
 
 def tree_predicted_stddev_tv(data, bases=None) -> float:

@@ -24,9 +24,12 @@ import numpy as np
 from repro.cutting.reconstruction import (
     _chain_row_runs,
     _chain_rows,
+    _contract_network,
     _normalise_chain_bases,
     _postprocess,
+    _resolve_plan,
 )
+from repro.cutting.variance import _tree_row_stats
 from repro.utils.bits import permute_probability_axes
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "downstream_closure_reference",
     "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution_reference",
+    "tree_reconstruction_variance_reference",
 ]
 
 
@@ -125,6 +129,35 @@ def reconstruct_chain_distribution_reference(
     return reconstruct_tree_distribution_reference(
         data, bases=bases, postprocess=postprocess
     )
+
+
+def tree_reconstruction_variance_reference(data, bases=None) -> np.ndarray:
+    """Delta-method variance as the per-term formula.
+
+    ``Var ≈ 4^{-K} Σ_i perm(C_i)`` with ``C_i`` the network contracted with
+    node ``i``'s row variances substituted and every other node's means
+    squared, each term permuted to qubit order on its own before it is
+    added.  Reference semantics for
+    :func:`repro.cutting.variance.tree_reconstruction_variance`, which
+    permutes the sum once.
+    """
+    tree = data.tree
+    n_total = len(tree.output_order())
+    if data.shots_per_variant <= 0:
+        return np.zeros(1 << n_total)
+    stats = [
+        _tree_row_stats(data, i, bases) for i in range(tree.num_fragments)
+    ]
+    plan = _resolve_plan(tree, bases, None)
+    total = np.zeros(1 << n_total)
+    for v in range(tree.num_fragments):
+        tensors = [
+            stats[i][1] if i == v else np.square(stats[i][0])
+            for i in range(tree.num_fragments)
+        ]
+        vec, order = _contract_network(tensors, tree, plan, bases)
+        total += permute_probability_axes(vec, order)
+    return (1.0 / float(4**tree.total_cuts)) * total
 
 
 def downstream_closure_reference(circuit, points) -> set[int]:

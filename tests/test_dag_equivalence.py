@@ -44,7 +44,7 @@ from repro.cutting.contraction import (
 )
 from repro.cutting.execution import exact_tree_data, run_tree_fragments
 from repro.cutting.reconstruction import reconstruct_tree_distribution
-from repro.cutting.sparse import top_k
+from repro.cutting.sparse import threshold, top_k
 from repro.cutting.variants import tree_variant_tuples
 from repro.exceptions import ReconstructionError
 from repro.harness.scaling import dag_cut_circuit, tree_cut_circuit
@@ -278,7 +278,7 @@ class TestDagPruned:
         dense = reconstruct_tree_distribution(data)
         sd = reconstruct_tree_distribution(data, prune=top_k(dense.size))
         assert sd.prune_bound == 0.0
-        np.testing.assert_allclose(sd.to_dense(), dense, atol=TOL)
+        assert np.array_equal(sd.to_dense(), dense)
 
     def test_prune_bound_is_rigorous(self):
         _, tree = make_dag(BRANCHY5, seed=411)
@@ -289,6 +289,132 @@ class TestDagPruned:
         )
         dropped = np.abs(dense - sd.to_dense()).sum()
         assert dropped <= sd.prune_bound + TOL
+
+
+# ---------------------------------------------------------------------------
+# merge layouts: each merge is one GEMM written in the merged layout
+# ---------------------------------------------------------------------------
+
+#: planned dense contraction vs the brute-force oracle
+ORACLE_TOL = 1e-12
+
+
+def merge_shapes(tree, plan):
+    """Per plan step: ``(open groups kept by a, by b, shared groups)``."""
+    open_groups = {
+        i: set(f.in_groups) | set(f.meas_groups)
+        for i, f in enumerate(tree.fragments)
+    }
+    rep = list(range(tree.num_fragments))
+
+    def find(x):
+        while rep[x] != x:
+            x = rep[x]
+        return x
+
+    shapes = []
+    for a, b in plan.steps:
+        ra, rb = find(a), find(b)
+        ga, gb = open_groups[ra], open_groups.pop(rb)
+        shared = ga & gb
+        shapes.append((ga - shared, gb - shared, shared))
+        open_groups[ra] = (ga | gb) - shared
+        rep[rb] = ra
+    return shapes
+
+
+def assert_dense_matches_oracle_and_pruned(data, plan):
+    """Dense within ORACLE_TOL of the oracle; keep-all pruning bitwise."""
+    dense = reconstruct_tree_distribution(data, postprocess="raw", plan=plan)
+    np.testing.assert_allclose(
+        dense, reconstruct_tree_distribution_reference(data), atol=ORACLE_TOL
+    )
+    for policy in (top_k(dense.size), threshold(0.0)):
+        sd = reconstruct_tree_distribution(
+            data, postprocess="raw", prune=policy, plan=plan
+        )
+        assert sd.prune_bound == 0.0
+        assert np.array_equal(sd.to_dense(), dense)
+
+
+class TestMergeLayouts:
+    @pytest.mark.parametrize("method", ["fixed", "greedy", "dp"])
+    @pytest.mark.parametrize(
+        "topo", TOPOLOGIES, ids=["diamond", "multi-source", "branchy5", "six"]
+    )
+    def test_planned_merges_match_oracle(self, topo, method):
+        _, tree = make_dag(topo, seed=420)
+        data = run_tree_fragments(tree, IdealBackend(), shots=500, seed=420)
+        assert_dense_matches_oracle_and_pruned(data, method)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            "fixed",
+            ContractionPlan(num_nodes=4, steps=((0, 1), (2, 3), (0, 2))),
+        ],
+        ids=["fixed", "pairs-first"],
+    )
+    def test_both_sides_keep_open_groups(self, plan):
+        """A merge where a and b each keep an open group (GA, GB > 1)."""
+        _, tree = make_dag(DIAMOND, cuts_per_group=[1, 2, 1, 2], seed=421)
+        data = run_tree_fragments(tree, IdealBackend(), shots=500, seed=421)
+        resolved = (
+            fixed_plan(network_spec_for_tree(tree))
+            if plan == "fixed"
+            else plan
+        )
+        assert any(
+            open_a and open_b and shared
+            for open_a, open_b, shared in merge_shapes(tree, resolved)
+        )
+        assert_dense_matches_oracle_and_pruned(data, plan)
+
+    def test_outer_product_of_disjoint_halves(self):
+        """A multi-source DAG whose plan first merges the two sources,
+        which share no group: the merge is an outer product."""
+        _, tree = make_dag(MULTI_SOURCE, seed=422)
+        data = run_tree_fragments(tree, IdealBackend(), shots=500, seed=422)
+        plan = ContractionPlan(num_nodes=3, steps=((0, 1), (0, 2)))
+        open_a, open_b, shared = merge_shapes(tree, plan)[0]
+        assert open_a and open_b and not shared
+        assert_dense_matches_oracle_and_pruned(data, plan)
+
+    @pytest.mark.parametrize("prune", [None, top_k(1 << 20)])
+    @pytest.mark.parametrize(
+        "topo,plan",
+        [
+            (BRANCHY5, "dp"),
+            (DIAMOND, ContractionPlan(4, ((0, 1), (2, 3), (0, 2)))),
+            (MULTI_SOURCE, ContractionPlan(3, ((0, 1), (0, 2)))),
+        ],
+    )
+    def test_float32_stays_float32_through_every_merge(
+        self, monkeypatch, topo, plan, prune
+    ):
+        import repro.cutting.reconstruction as rec
+
+        merged = []
+        merge = rec._merge_clusters
+
+        def spy(a, b, group_sizes):
+            out = merge(a, b, group_sizes)
+            merged.append((a.t.dtype, b.t.dtype, out.t.dtype))
+            return out
+
+        monkeypatch.setattr(rec, "_merge_clusters", spy)
+        _, tree = make_dag(topo, seed=423)
+        data = exact_tree_data(tree)
+        p32 = reconstruct_tree_distribution(
+            data, dtype=np.float32, prune=prune, plan=plan, postprocess="raw"
+        )
+        assert len(merged) == tree.num_fragments - 1
+        assert all(dt == np.float32 for dts in merged for dt in dts)
+        if prune is not None:
+            p32 = p32.to_dense()
+        assert p32.dtype == np.float32
+        p64 = reconstruct_tree_distribution(data, plan=plan, postprocess="raw")
+        np.testing.assert_allclose(p32, p64, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,77 @@ class TestPostprocessing:
             reconstruct_tree_distribution(data, postprocess="magic")
 
 
+class TestInPlaceTail:
+    """The dense tail scales and postprocesses in place, so it may only
+    ever write into arrays the reconstruction allocated itself."""
+
+    def test_single_fragment_tree_is_refused(self):
+        """The one network whose contraction would hand back a node tensor
+        unmerged (a single node) cannot be built."""
+        from repro.circuits import random_circuit
+        from repro.cutting.tree import FragmentTree, TreeFragment
+        from repro.exceptions import CutError
+
+        qc = random_circuit(3, 2, seed=1)
+        frag = TreeFragment(
+            circuit=qc, index=0, prep_local=[], cut_local=[],
+            out_local=[0, 1, 2], out_original=[0, 1, 2],
+        )
+        with pytest.raises(CutError, match="at least two fragments"):
+            FragmentTree(fragments=[frag], group_sizes=[])
+
+    @pytest.mark.parametrize(
+        "blocks,seed",
+        [
+            ((4, [0, 1], [1, 2, 3]), 2),
+            # every upstream wire cut: the upstream node has no outputs
+            ((3, [0], [0, 1, 2]), 4),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["clip", "raw", "simplex"])
+    def test_identity_order_leaves_inputs_untouched(self, blocks, seed, mode):
+        from repro.cutting.reconstruction import (
+            _contract_network,
+            _resolve_plan,
+        )
+
+        qc, spec = two_block_circuit(*blocks, seed=seed)
+        data = run_tree_fragments(
+            pair_tree(qc, spec), IdealBackend(), shots=200, seed=3
+        )
+        tree = data.tree
+        tensors = [
+            build_tree_fragment_tensor(data, i)[0]
+            for i in range(tree.num_fragments)
+        ]
+        v, order = _contract_network(
+            tensors, tree, _resolve_plan(tree, None, None), None
+        )
+        # already in qubit order: the tail makes no permuting copy
+        assert order == list(range(len(order)))
+        assert not any(np.shares_memory(v, t) for t in tensors)
+        records = [
+            {key: rec.copy() for key, rec in recs.items()}
+            for recs in data.records
+        ]
+
+        first = reconstruct_tree_distribution(data, postprocess=mode)
+        second = reconstruct_tree_distribution(data, postprocess=mode)
+        np.testing.assert_array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        if mode == "raw":
+            assert first.min() < 0  # so "clip" really writes into its buffer
+        for recs, kept in zip(data.records, records):
+            assert recs.keys() == kept.keys()
+            for key, rec in recs.items():
+                np.testing.assert_array_equal(rec, kept[key])
+                assert not np.shares_memory(rec, first)
+        for i, t in enumerate(tensors):
+            np.testing.assert_array_equal(
+                build_tree_fragment_tensor(data, i)[0], t
+            )
+
+
 class TestSimplexProjection:
     def test_already_on_simplex(self):
         v = np.array([0.2, 0.3, 0.5])

@@ -792,3 +792,32 @@ class TestTreeVariance:
         empirical = np.var(np.stack(reps), axis=0)
         ratio = predicted.sum() / empirical.sum()
         assert 0.3 < ratio < 3.0
+
+    @pytest.mark.parametrize(
+        "parents,seed",
+        [(Y_PARENTS, 97), (FIVE_PARENTS, 98), ([0, 0, 1, 1, 2, 2], 99)],
+    )
+    def test_single_permutation_matches_per_term_formula(self, parents, seed):
+        """Summing the per-fragment terms in contraction order and
+        permuting once is bit-identical to permuting every term."""
+        from repro.cutting.variance import tree_reconstruction_variance
+        from tests.oracles import tree_reconstruction_variance_reference
+
+        _, tree = make_tree(parents, 1, seed)
+        dev = IdealBackend()
+        data = run_tree_fragments(
+            tree, dev, shots=300, seed=seed,
+            pool=dev.make_tree_cache_pool(tree),
+        )
+        var = tree_reconstruction_variance(data)
+        assert var.sum() > 0
+        assert np.array_equal(var, tree_reconstruction_variance_reference(data))
+        bases = neglected_bases(tree)
+        reduced = run_tree_fragments(
+            tree, dev, shots=300, seed=seed,
+            variants=variants_for_bases(tree, bases),
+        )
+        assert np.array_equal(
+            tree_reconstruction_variance(reduced, bases),
+            tree_reconstruction_variance_reference(reduced, bases),
+        )
