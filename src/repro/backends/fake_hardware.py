@@ -4,11 +4,14 @@ Pipeline per job:
 
 1. transpile the logical circuit to the device (native basis + routing),
 2. evolve a density matrix, interleaving the noise model's channels after
-   each gate,
+   each gate — on the :class:`WireRegister` of wires the job touches (its
+   gate wires and the final positions of its logical wires), never on
+   device wires that stay in ``|0⟩`` and are marginalised away anyway,
 3. push the outcome distribution through the readout confusion matrices,
 4. un-permute the routed layout back to logical wires,
 5. sample multinomial counts and charge the timing model to the virtual
-   clock.
+   clock (duration, gate count and depth from one
+   :meth:`~repro.backends.timing.DeviceTimingModel.walk` of the circuit).
 
 Everything is deterministic given a seed.  The noise strength scales with
 transpiled gate counts, so deeper/wider circuits degrade more — the property
@@ -19,8 +22,12 @@ Fragment variants take a fast path:
 preparation/measurement variant of a fragment from its shared
 :class:`~repro.cutting.noisy_cache.NoisyTreeFragmentSimCache` — each
 fragment body is transpiled once and evolved once per entering Hermitian
-basis state instead of once per variant — while charging the timing model
-per variant job exactly as circuit-level execution would.
+basis state instead of once per variant, on the body's touched wires only —
+while charging the timing model per variant job exactly as circuit-level
+execution would: the cache's
+:meth:`~repro.cutting.noisy_cache.NoisyTreeFragmentSimCache.job_profile`
+walks each variant from memoised prep and body pieces, bit-identical to
+walking its assembled physical circuit.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from repro.transpile.pipeline import transpile
 from repro.utils.bits import marginalize_probs, permute_probability_axes
 from repro.utils.rng import spawn_rngs
 
-__all__ = ["FakeHardwareBackend", "finalize_physical_probs"]
+__all__ = ["FakeHardwareBackend", "WireRegister", "finalize_physical_probs"]
 
 
 def finalize_physical_probs(
@@ -73,6 +80,68 @@ def finalize_physical_probs(
     if logical_width < n_phys:
         probs = marginalize_probs(probs, range(logical_width), n_phys)
     return probs
+
+
+class WireRegister:
+    """The physical wires one noisy job evolves, in density-tensor axis order.
+
+    A job only needs the wires its transpiled circuit can change or report:
+    every gate wire, the final positions ``layout[:width]`` of its logical
+    wires, and any ``extra`` wire prepared outside the circuit.  Every other
+    device wire stays in ``|0⟩⟨0|`` and is marginalised away after readout,
+    so leaving it out of the register changes the result only by roundoff
+    while shrinking each density tensor by 4× per dropped wire.  Noise rules
+    still see physical qubit numbers (:func:`evolve_noisy_tensor` maps
+    them); :meth:`finalize` maps the readout errors and the layout onto the
+    register before the shared :func:`finalize_physical_probs` tail.
+    """
+
+    __slots__ = ("wires", "width", "_readout", "_layout")
+
+    def __init__(
+        self, wires: Sequence[int], layout: Sequence[int], width: int, readout: dict
+    ) -> None:
+        self.wires = tuple(wires)
+        self.width = int(width)
+        local = {w: i for i, w in enumerate(self.wires)}
+        self._readout = {local[q]: e for q, e in readout.items() if q in local}
+        outputs = [local[p] for p in layout[:width]]
+        # wires beyond the logical outputs are marginalised in any order
+        self._layout = outputs + sorted(set(range(len(self.wires))) - set(outputs))
+
+    @classmethod
+    def touched(
+        cls,
+        physical: Circuit,
+        layout: Sequence[int],
+        width: int,
+        readout: dict,
+        extra: Sequence[int] = (),
+    ) -> "WireRegister":
+        """Register of ``physical``: gate wires ∪ ``layout[:width]`` ∪ ``extra``."""
+        wires = set(layout[:width]).union(extra)
+        for inst in physical:
+            if inst.name != "barrier":
+                wires.update(inst.qubits)
+        return cls(sorted(wires), layout, width, readout)
+
+    def zero_tensor(self) -> np.ndarray:
+        """``|0..0⟩⟨0..0|`` on the register."""
+        return zero_density_tensor(len(self.wires))
+
+    def finalize(self, probs: np.ndarray) -> np.ndarray:
+        """Clip and trace-check a raw register diagonal, then read it out.
+
+        Raises :class:`~repro.exceptions.SimulationError` when the diagonal
+        lost trace: CPTP channels preserve it, so drift means a bug upstream.
+        """
+        probs = np.clip(probs, 0.0, None)
+        total = probs.sum()
+        if abs(total - 1.0) > 1e-6:
+            raise SimulationError(f"noisy simulation lost trace: {total}")
+        return finalize_physical_probs(
+            probs / total, self._readout, self._layout, self.width
+        )
 
 
 class FakeHardwareBackend(Backend):
@@ -105,50 +174,44 @@ class FakeHardwareBackend(Backend):
         self.max_qubits = coupling.num_qubits
 
     # ------------------------------------------------------------------
-    def _noisy_probabilities(self, physical: Circuit) -> np.ndarray:
-        """Exact outcome distribution of the noisy physical circuit."""
-        n = physical.num_qubits
+    def _noisy_probabilities(
+        self, physical: Circuit, layout: Sequence[int], width: int
+    ) -> np.ndarray:
+        """Exact logical outcome distribution of the noisy physical circuit,
+        evolved on the wires it touches (see :class:`WireRegister`)."""
+        reg = WireRegister.touched(physical, layout, width, self.noise_model.readout)
         t = evolve_noisy_tensor(
-            zero_density_tensor(n), physical, self.noise_model, n
+            reg.zero_tensor(), physical, self.noise_model, reg.wires
         )
-        probs = probabilities_from_tensor(t, n)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
-            # CPTP channels preserve trace; drift means a bug upstream.
-            raise SimulationError(f"noisy simulation lost trace: {total}")
-        return probs / total
+        return reg.finalize(probabilities_from_tensor(t, len(reg.wires), clip=False))
 
     def _execute(
         self, circuit: Circuit, shots: int, rng: np.random.Generator
     ) -> ExecutionResult:
         physical, layout = transpile(circuit, self.coupling)
-        probs = self._noisy_probabilities(physical)
-        probs = finalize_physical_probs(
-            probs, self.noise_model.readout, layout, circuit.num_qubits
-        )
+        probs = self._noisy_probabilities(physical, layout, circuit.num_qubits)
         counts = sample_counts(probs, shots, seed=rng, num_qubits=circuit.num_qubits)
-        seconds = self._charge(physical, circuit.name, shots)
+        duration, ops, depth = self.timing.profile(physical)
         return ExecutionResult(
             counts=counts,
             shots=shots,
             num_qubits=circuit.num_qubits,
-            seconds=seconds,
-            metadata=self._job_metadata(physical, layout),
+            seconds=self._charge(duration, circuit.name, shots),
+            metadata=self._job_metadata(ops, depth, layout),
         )
 
-    def _charge(self, physical: Circuit, label: str, shots: int) -> float:
-        seconds = self.timing.job_seconds(physical, shots)
+    def _charge(self, duration: float, label: str, shots: int) -> float:
+        seconds = self.timing.duration_job_seconds(duration, shots)
         self.clock.charge(seconds, label=f"job:{label}")
         return seconds
 
-    def _job_metadata(self, physical: Circuit, layout: Sequence[int]) -> dict:
-        # barriers are zero-duration fences (the timing model skips them);
-        # report only real gates in the op/depth bookkeeping
-        gates = [inst for inst in physical if inst.name != "barrier"]
+    def _job_metadata(self, ops: int, depth: int, layout: Sequence[int]) -> dict:
+        # ops/depth come from DeviceTimingModel.walk, which skips barriers
+        # (zero-duration fences): only real gates are reported
         return {
             "backend": self.name,
-            "transpiled_ops": len(gates),
-            "transpiled_depth": Circuit(physical.num_qubits, gates).depth(),
+            "transpiled_ops": ops,
+            "transpiled_depth": depth,
             "layout": list(layout),
         }
 
@@ -223,18 +286,17 @@ class FakeHardwareBackend(Backend):
         for (inits, setting), rng in zip(combos, rngs):
             probs = cache.probabilities(inits, setting)
             physical = cache.physical(inits, setting)
-            layout = cache.layout()
+            duration, ops, depth = cache.job_profile(inits, setting, self.timing)
             counts = sample_counts(
                 probs, shots, seed=rng, num_qubits=frag.num_qubits
             )
-            seconds = self._charge(physical, physical.name, shots)
             out.append(
                 ExecutionResult(
                     counts=counts,
                     shots=shots,
                     num_qubits=frag.num_qubits,
-                    seconds=seconds,
-                    metadata=self._job_metadata(physical, layout),
+                    seconds=self._charge(duration, physical.name, shots),
+                    metadata=self._job_metadata(ops, depth, cache.layout()),
                 )
             )
         return out

@@ -42,19 +42,47 @@ class DeviceTimingModel:
     reset_time: float = 250e-6
     job_overhead: float = 1.8
 
-    def circuit_duration(self, circuit: Circuit) -> float:
-        """Critical-path duration of one shot of ``circuit`` (seconds)."""
-        level = [0.0] * circuit.num_qubits
-        for inst in circuit:
+    def walk(self, instructions, times: list, depths: list) -> int:
+        """Advance per-wire finish times and gate depths through ``instructions``.
+
+        ``times[q]`` / ``depths[q]`` hold wire ``q``'s critical-path time and
+        gate count so far; a gate starts when its last wire is free.
+        Barriers are zero-duration fences and are skipped.  Returns the
+        number of gates walked.  Walking a circuit in consecutive pieces
+        performs exactly the floating-point operations of walking it whole,
+        which is what lets the noisy fragment cache profile each variant
+        from memoised prefixes bit for bit.
+        """
+        dt1, dt2 = self.gate_time_1q, self.gate_time_2q
+        ops = 0
+        for inst in instructions:
             if inst.name == "barrier":
                 continue
-            dt = self.gate_time_2q if len(inst.qubits) >= 2 else self.gate_time_1q
-            t = max(level[q] for q in inst.qubits) + dt
-            for q in inst.qubits:
-                level[q] = t
-        return max(level, default=0.0)
+            qs = inst.qubits
+            t = max(times[q] for q in qs) + (dt2 if len(qs) >= 2 else dt1)
+            d = max(depths[q] for q in qs) + 1
+            for q in qs:
+                times[q] = t
+                depths[q] = d
+            ops += 1
+        return ops
+
+    def profile(self, circuit: Circuit) -> tuple[float, int, int]:
+        """``(duration, gates, depth)`` of one shot of ``circuit``, barriers skipped."""
+        times = [0.0] * circuit.num_qubits
+        depths = [0] * circuit.num_qubits
+        ops = self.walk(circuit, times, depths)
+        return max(times, default=0.0), ops, max(depths, default=0)
+
+    def circuit_duration(self, circuit: Circuit) -> float:
+        """Critical-path duration of one shot of ``circuit`` (seconds)."""
+        return self.profile(circuit)[0]
+
+    def duration_job_seconds(self, duration: float, shots: int) -> float:
+        """Total modelled wall time for one job whose shot lasts ``duration``."""
+        per_shot = duration + self.readout_time + self.reset_time
+        return self.job_overhead + shots * per_shot
 
     def job_seconds(self, circuit: Circuit, shots: int) -> float:
         """Total modelled wall time for one job."""
-        per_shot = self.circuit_duration(circuit) + self.readout_time + self.reset_time
-        return self.job_overhead + shots * per_shot
+        return self.duration_job_seconds(self.circuit_duration(circuit), shots)

@@ -53,7 +53,7 @@ class Circuit:
 
     # ------------------------------------------------------------------ core
     def _check(self, inst: Instruction) -> None:
-        if any(q >= self.num_qubits for q in inst.qubits):
+        if max(inst.qubits, default=-1) >= self.num_qubits:
             raise CircuitError(
                 f"instruction {inst} exceeds circuit width {self.num_qubits}"
             )

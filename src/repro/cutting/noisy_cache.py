@@ -23,7 +23,19 @@ Both are redundant, for the same structural reason:
   2×2 evolutions — is a real linear combination of them;
 * **one batched rotation pass per setting** — each measurement setting
   conjugates the whole cached batch by its lowered terminal rotations
-  (with their own gate noise) instead of re-evolving the body.
+  (with their own gate noise) instead of re-evolving the body;
+* **only the touched wires** — the batch lives on the fragment's
+  :class:`~repro.backends.fake_hardware.WireRegister`: the transpiled
+  body's gate wires, the final positions of its logical wires and its
+  preparation wires.  The device's other wires stay in ``|0⟩⟨0|`` and are
+  marginalised away after readout, so they are never evolved (noise rules
+  are still looked up by physical qubit);
+* **memoised bookkeeping** — the lowered preparation section per inits
+  tuple and the lowered rotation section per setting are built once and
+  shared by the rotation passes, :meth:`~NoisyTreeFragmentSimCache.physical`
+  and :meth:`~NoisyTreeFragmentSimCache.job_profile`, which walks prep →
+  body → rotation with the body walk memoised per inits tuple instead of
+  walking every assembled variant circuit for its duration and depth.
 
 Net effect per fragment: ``6^{K_in} · 3^{K_out}`` transpiles + evolutions
 become ``1`` transpile + ``4^{K_in}`` body evolutions + ``3^{K_out}``
@@ -42,6 +54,7 @@ safe to share across worker threads.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +65,7 @@ from repro.circuits.instruction import Instruction
 from repro.config import COMPLEX_DTYPE
 from repro.cutting.variants import PREPARATION_STATES
 from repro.exceptions import CutError
-from repro.backends.fake_hardware import finalize_physical_probs
+from repro.backends.fake_hardware import WireRegister
 from repro.linalg.channels import apply_channel
 from repro.sim.density import evolve_noisy_tensor, probabilities_from_tensor
 from repro.transpile.basis import decompose_to_basis
@@ -101,16 +114,24 @@ def _expand_in_basis(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def _lower_1q(circuit: Circuit) -> Circuit:
-    """Lower a circuit of bare 1q gates exactly as the transpile tail does.
+@lru_cache(maxsize=4096)
+def _lower_1q(num_qubits: int, gates: tuple[tuple[str, int], ...]) -> tuple:
+    """Lower bare 1q gates ``(name, wire)`` exactly as the transpile tail does.
 
     ``decompose → merge → cancel`` is the portion of the pipeline a fenced
     run of single-qubit gates experiences (routing maps wires but inserts
     nothing for 1q gates), so the emitted ``rz``/``sx`` sequence is
     gate-identical to what :func:`repro.transpile.pipeline.transpile`
-    produces for those gates inside a full variant circuit.
+    produces for those gates inside a full variant circuit.  Memoised
+    across caches: every fragment of every run lowers the same few
+    preparation and rotation patterns.
     """
-    return cancel_adjacent_inverses(merge_single_qubit_runs(decompose_to_basis(circuit)))
+    qc = Circuit(num_qubits)
+    for name, q in gates:
+        qc.add_gate(name, (q,))
+    return tuple(
+        cancel_adjacent_inverses(merge_single_qubit_runs(decompose_to_basis(qc)))
+    )
 
 
 class NoisyTreeFragmentSimCache:
@@ -136,8 +157,9 @@ class NoisyTreeFragmentSimCache:
 
     Cost per fragment: ``6^{K_prev} · 3^{K}`` transpiles + evolutions become
     ``1`` transpile + ``4^{K_prev}`` body evolutions + ``3^{K}`` batched
-    rotation passes.  Across an ``N``-node tree (chains included) that is
-    exactly ``N`` body transpiles — the law pinned by
+    rotation passes, each on the body's touched-wire register only.
+    Across an ``N``-node tree (chains included) that is exactly ``N`` body
+    transpiles — the law pinned by
     ``tests/test_noisy_fast_path_equivalence.py`` and
     ``tests/test_tree_equivalence.py``.
     """
@@ -151,8 +173,10 @@ class NoisyTreeFragmentSimCache:
         "_rotated_diag",
         "_probs",
         "_phys",
-        "_prep_lowered",
         "_prep_coeff",
+        "_preps_lowered",
+        "_rot_lowered",
+        "_walks",
     )
 
     def __init__(self, fragment, coupling: CouplingMap, noise_model) -> None:
@@ -164,48 +188,37 @@ class NoisyTreeFragmentSimCache:
             "body_evolutions": 0,
             "rotation_evolutions": 0,
         }
-        #: one-slot shared box for (physical, layout, rho batch) — a box,
-        #: not a plain attribute, so rebound clones see a warm that happens
-        #: after the rebind (the box is shared, the value inside mutates)
+        #: one-slot shared box for (physical, layout, rho batch, register) —
+        #: a box, not a plain attribute, so rebound clones see a warm that
+        #: happens after the rebind (the box is shared, the value mutates)
         self._body_box: list = [None]
-        #: setting -> raw diagonals, shape (4^{K_prev}, 2^{n_phys})
+        #: setting -> raw register diagonals, shape (4^{K_prev}, 2^{m})
         self._rotated_diag: dict[tuple[str, ...], np.ndarray] = {}
         self._probs: dict[tuple, np.ndarray] = {}
         self._phys: dict[tuple, Circuit] = {}
-        self._prep_lowered: dict[str, Circuit] = {}
         self._prep_coeff: dict[tuple[str, int], np.ndarray] = {}
+        #: inits tuple -> lowered preparation section (with its fence)
+        self._preps_lowered: dict[tuple[str, ...], tuple] = {}
+        #: setting -> lowered rotation section (with its fence)
+        self._rot_lowered: dict[tuple[str, ...], tuple] = {}
+        #: (timing model, inits) -> (times, depths, gates) after prep + body
+        self._walks: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------- helpers
-    def _finalize(
-        self, probs: np.ndarray, layout: Sequence[int], logical_width: int
-    ) -> np.ndarray:
-        """Clip/trace-check a raw physical diagonal, then the shared
+    def _finalize(self, probs: np.ndarray) -> np.ndarray:
+        """Clip/trace-check a raw register diagonal, then the shared
         readout → un-permute → marginalise tail of per-variant execution."""
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-6:
-            # CPTP channels preserve trace; drift means a bug upstream.
-            raise RuntimeError(f"noisy simulation lost trace: {total}")
-        probs = finalize_physical_probs(
-            probs / total, self.noise_model.readout, layout, logical_width
-        )
+        probs = self._body_state()[3].finalize(probs)
         probs.setflags(write=False)
         return probs
 
-    def _lowered_prep(self, code: str) -> Circuit:
+    def _lowered_prep(self, code: str) -> tuple:
         """One preparation code's gates through the 1q transpile tail."""
-        out = self._prep_lowered.get(code)
-        if out is None:
-            try:
-                gates = PREPARATION_STATES[code]
-            except KeyError:
-                raise CutError(f"invalid preparation code {code!r}") from None
-            qc = Circuit(1)
-            for g in gates:
-                qc.add_gate(g, (0,))
-            out = _lower_1q(qc)
-            self._prep_lowered[code] = out
-        return out
+        try:
+            gates = PREPARATION_STATES[code]
+        except KeyError:
+            raise CutError(f"invalid preparation code {code!r}") from None
+        return _lower_1q(1, tuple((g, 0) for g in gates))
 
     def _prep_coefficients(self, code: str, qubit: int) -> np.ndarray:
         """Hermitian-basis expansion of the *noisy* prepared state.
@@ -242,22 +255,27 @@ class NoisyTreeFragmentSimCache:
 
     # ------------------------------------------------------------------
     def _body_state(self) -> tuple:
-        """Transpile the body and evolve the Hermitian response batch once."""
+        """Transpile the body and evolve the Hermitian response batch once,
+        on the wires the transpiled body touches."""
         if self._body is None:
             frag = self.fragment
             physical, layout = transpile(frag.circuit, self.coupling)
             self.stats["transpiles"] += 1
-            n = physical.num_qubits
-            Kp = frag.num_prep
-            B = 1 << (2 * Kp)
-            init = np.zeros((2,) * (2 * n) + (B,), dtype=COMPLEX_DTYPE)
             # preparation gates act before any routing SWAP, so entering
             # cut wires sit at their logical physical positions
             preps = list(frag.prep_local)
-            sl: list = [0] * (2 * n)
+            reg = WireRegister.touched(
+                physical, layout, frag.num_qubits, self.noise_model.readout, preps
+            )
+            m = len(reg.wires)
+            Kp = frag.num_prep
+            B = 1 << (2 * Kp)
+            init = np.zeros((2,) * (2 * m) + (B,), dtype=COMPLEX_DTYPE)
+            sl: list = [0] * (2 * m)
             for q in preps:
-                sl[q] = slice(None)
-                sl[q + n] = slice(None)
+                a = reg.wires.index(q)
+                sl[a] = slice(None)
+                sl[a + m] = slice(None)
             order = sorted(range(Kp), key=lambda k: preps[k])
             for j in range(B):
                 if Kp:
@@ -270,41 +288,65 @@ class NoisyTreeFragmentSimCache:
                     )
                 else:
                     init[tuple(sl) + (j,)] = 1.0
-            t = evolve_noisy_tensor(init, physical, self.noise_model, n)
+            t = evolve_noisy_tensor(init, physical, self.noise_model, reg.wires)
             self.stats["body_evolutions"] += B
-            self._body = (physical, layout, t)
+            self._body = (physical, layout, t, reg)
         return self._body
 
-    def _rotation_circuit(
-        self, setting: tuple[str, ...], layout: Sequence[int], n_phys: int
-    ) -> Circuit:
-        """Lowered terminal rotations of one setting, on physical wires."""
-        rot = Circuit(n_phys, name="rot")
-        for k, basis in enumerate(setting):
-            p = layout[self.fragment.cut_local[k]]
-            if basis == "X":
-                rot.h(p)
-            elif basis == "Y":
-                rot.sdg(p).h(p)
-            elif basis != "Z":
-                raise CutError(f"invalid measurement basis {basis!r}")
-        return _lower_1q(rot)
+    def _lowered_preps(self, inits: tuple[str, ...]) -> tuple:
+        """Lowered preparation gates of one inits tuple, then their fence."""
+        out = self._preps_lowered.get(inits)
+        if out is None:
+            frag = self.fragment
+            gates = tuple(
+                (g, frag.prep_local[k])
+                for k, code in enumerate(inits)
+                for g in PREPARATION_STATES[code]
+            )
+            out = _lower_1q(self._body_state()[0].num_qubits, gates)
+            if inits:
+                fence = tuple(range(frag.num_qubits))
+                out += (Instruction(Gate("barrier"), fence),)
+            self._preps_lowered[inits] = out
+        return out
+
+    def _lowered_rotation(self, setting: tuple[str, ...]) -> tuple:
+        """A setting's fence, then its lowered terminal rotations (physical wires)."""
+        out = self._rot_lowered.get(setting)
+        if out is None:
+            frag = self.fragment
+            physical, layout = self._body_state()[:2]
+            gates: list = []
+            for k, basis in enumerate(setting):
+                p = layout[frag.cut_local[k]]
+                if basis == "X":
+                    gates.append(("h", p))
+                elif basis == "Y":
+                    gates += [("sdg", p), ("h", p)]
+                elif basis != "Z":
+                    raise CutError(f"invalid measurement basis {basis!r}")
+            out = _lower_1q(physical.num_qubits, tuple(gates))
+            if setting:
+                fence = tuple(layout[q] for q in range(frag.num_qubits))
+                out = (Instruction(Gate("barrier"), fence),) + out
+            self._rot_lowered[setting] = out
+        return out
 
     def _setting_diag(self, setting: tuple[str, ...]) -> np.ndarray:
-        """Raw physical diagonals of the rotated response batch."""
+        """Raw register diagonals of the rotated response batch."""
         out = self._rotated_diag.get(setting)
         if out is not None:
             return out
         if len(setting) != self.fragment.num_meas:
             raise CutError("setting tuple length != number of exiting cuts")
-        physical, layout, rho = self._body_state()
-        n = physical.num_qubits
+        _, _, rho, reg = self._body_state()
         if setting:
-            rot = self._rotation_circuit(setting, layout, n)
-            rho = evolve_noisy_tensor(rho, rot, self.noise_model, n)
+            rot = self._lowered_rotation(setting)
+            rho = evolve_noisy_tensor(rho, rot, self.noise_model, reg.wires)
             self.stats["rotation_evolutions"] += 1
-        out = probabilities_from_tensor(rho, n, clip=False)
-        out = out.reshape(1 << (2 * self.fragment.num_prep), 1 << n)
+        m = len(reg.wires)
+        out = probabilities_from_tensor(rho, m, clip=False)
+        out = out.reshape(1 << (2 * self.fragment.num_prep), 1 << m)
         out.setflags(write=False)
         self._rotated_diag[setting] = out
         return out
@@ -328,51 +370,58 @@ class NoisyTreeFragmentSimCache:
         key = (tuple(inits), tuple(setting))
         out = self._probs.get(key)
         if out is None:
-            _, layout, _ = self._body_state()
             raw = self._init_coefficients(key[0]) @ self._setting_diag(key[1])
-            out = self._finalize(raw, layout, self.fragment.num_qubits)
+            out = self._finalize(raw)
             self._probs[key] = out
         return out
 
     def physical(self, inits: Sequence[str], setting: Sequence[str]) -> Circuit:
-        """The physical circuit of one chain variant (for timing/metadata).
+        """The physical circuit of one variant (for timing/metadata).
 
         Identical, instruction for instruction, to transpiling the logical
-        :func:`~repro.cutting.variants.chain_variant` from scratch — the
+        :func:`~repro.cutting.variants.tree_variant` from scratch — the
         fenced-transpile factorisation invariant.
         """
         key = (tuple(inits), tuple(setting))
         out = self._phys.get(key)
         if out is None:
             frag = self.fragment
-            physical, layout, _ = self._body_state()
-            n = physical.num_qubits
-            prep = Circuit(n)
-            for k, code in enumerate(key[0]):
-                q = frag.prep_local[k]
-                for g in PREPARATION_STATES[code]:
-                    prep.add_gate(g, (q,))
+            physical = self._body_state()[0]
             label = f"{','.join(key[0])}|{','.join(key[1])}"
-            out = Circuit(n, name=f"{frag.circuit.name}[{label}]")
-            for inst in _lower_1q(prep):
-                out.append(inst)
-            if key[0]:
-                out.append(
-                    Instruction(Gate("barrier"), tuple(range(frag.num_qubits)))
-                )
-            for inst in physical:
-                out.append(inst)
-            if key[1]:
-                out.append(
-                    Instruction(
-                        Gate("barrier"),
-                        tuple(layout[q] for q in range(frag.num_qubits)),
-                    )
-                )
-            for inst in self._rotation_circuit(key[1], layout, n):
-                out.append(inst)
+            out = Circuit(
+                physical.num_qubits,
+                self._lowered_preps(key[0])
+                + physical.instructions
+                + self._lowered_rotation(key[1]),
+                name=f"{frag.circuit.name}[{label}]",
+            )
             self._phys[key] = out
         return out
+
+    def job_profile(
+        self, inits: Sequence[str], setting: Sequence[str], timing
+    ) -> tuple[float, int, int]:
+        """``(duration, gates, depth)`` of one variant's physical circuit.
+
+        Walks prep → body → rotation with the shared
+        :meth:`~repro.backends.timing.DeviceTimingModel.walk`, the prep and
+        body part memoised per inits tuple, so the result equals
+        ``timing.profile(self.physical(inits, setting))`` bit for bit
+        without walking each assembled variant again.
+        """
+        inits, setting = tuple(inits), tuple(setting)
+        walk = self._walks.get((timing, inits))
+        if walk is None:
+            physical = self._body_state()[0]
+            times = [0.0] * physical.num_qubits
+            depths = [0] * physical.num_qubits
+            ops = timing.walk(self._lowered_preps(inits), times, depths)
+            ops += timing.walk(physical, times, depths)
+            walk = (times, depths, ops)
+            self._walks[(timing, inits)] = walk
+        times, depths = list(walk[0]), list(walk[1])
+        ops = walk[2] + timing.walk(self._lowered_rotation(setting), times, depths)
+        return max(times, default=0.0), ops, max(depths, default=0)
 
     def layout(self) -> list[int]:
         """Final logical→physical layout of the transpiled body."""
@@ -398,14 +447,15 @@ class NoisyTreeFragmentSimCache:
         memory so the one-transpile-per-body law survives fan-out: workers
         map the evolved body instead of re-transpiling and re-evolving it.
         ``meta`` is a small picklable manifest carrying the transpiled
-        physical circuit, its layout, and the memoised variant circuits.
+        physical circuit, its layout, the register's wire list (the axes
+        of ``body_rho``), and the memoised variant circuits.
         """
         arrays: dict[str, np.ndarray] = {}
         meta: dict = {"body": None, "rotated": [], "probs": [], "phys": []}
         if self._body is not None:
-            physical, layout, rho = self._body
+            physical, layout, rho, reg = self._body
             arrays["body_rho"] = rho
-            meta["body"] = (physical, list(layout))
+            meta["body"] = (physical, list(layout), list(reg.wires))
         for j, setting in enumerate(sorted(self._rotated_diag)):
             arrays[f"diag{j}"] = self._rotated_diag[setting]
             meta["rotated"].append(setting)
@@ -430,8 +480,11 @@ class NoisyTreeFragmentSimCache:
         """
         cache = cls(fragment, coupling, noise_model)
         if meta["body"] is not None:
-            physical, layout = meta["body"]
-            cache._body = (physical, list(layout), arrays["body_rho"])
+            physical, layout, wires = meta["body"]
+            reg = WireRegister(
+                wires, layout, fragment.num_qubits, noise_model.readout
+            )
+            cache._body = (physical, list(layout), arrays["body_rho"], reg)
         cache._rotated_diag = {
             tuple(s): arrays[f"diag{j}"] for j, s in enumerate(meta["rotated"])
         }
@@ -463,8 +516,10 @@ class NoisyTreeFragmentSimCache:
         clone._rotated_diag = self._rotated_diag
         clone._probs = self._probs
         clone._phys = self._phys
-        clone._prep_lowered = self._prep_lowered
         clone._prep_coeff = self._prep_coeff
+        clone._preps_lowered = self._preps_lowered
+        clone._rot_lowered = self._rot_lowered
+        clone._walks = self._walks
         return clone
 
 

@@ -90,7 +90,7 @@ class _TopK(PrunePolicy):
     def select(self, scores: np.ndarray) -> np.ndarray:
         if scores.size <= self.k:
             return np.arange(scores.size, dtype=np.int64)
-        # stable sort so ties break on the lower index, deterministically
+        # stable sort: ties break on the lower column position (see top_k)
         kept = np.argsort(-scores, kind="stable")[: self.k]
         return self._non_empty(kept, scores)
 
@@ -114,6 +114,17 @@ def top_k(k: int) -> PrunePolicy:
 
     ``top_k(2^n)`` (or larger) keeps everything and is bit-identical to
     the dense path.
+
+    Ties are broken by a stable sort, so among equal scores the lower
+    *column position* survives.  A node's columns are its output index,
+    little-endian over ``frag.out_original``.  A merged cluster's columns
+    run over the kept columns of the merge's first operand fastest, then
+    over the second operand's, each side in ascending value; the merge
+    that closes the last open groups first sorts each side's bits by
+    original qubit (:func:`repro.cutting.reconstruction._merge_clusters`).
+    The tie rule therefore follows this column order, not the final
+    qubit-order index: a tied outcome of the second operand can lose to an
+    outcome of the first with a larger final index.
     """
     if k < 1:
         raise ReconstructionError(f"top_k k must be >= 1, got {k}")

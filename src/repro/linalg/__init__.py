@@ -20,14 +20,12 @@ from repro.linalg.states import (
 )
 from repro.linalg.tensor import (
     apply_matrix_to_axes,
-    embed_unitary,
     kron_all,
     operator_on_qubits,
 )
 from repro.linalg.channels import (
     KrausChannel,
     apply_channel,
-    channel_fidelity_bound,
     is_cptp,
 )
 
@@ -47,11 +45,9 @@ __all__ = [
     "purity",
     "state_to_density",
     "apply_matrix_to_axes",
-    "embed_unitary",
     "kron_all",
     "operator_on_qubits",
     "KrausChannel",
     "apply_channel",
-    "channel_fidelity_bound",
     "is_cptp",
 ]

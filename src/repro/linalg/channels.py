@@ -18,7 +18,7 @@ from repro.config import COMPLEX_DTYPE
 from repro.exceptions import NoiseError
 from repro.linalg.tensor import apply_matrix_to_axes
 
-__all__ = ["KrausChannel", "apply_channel", "is_cptp", "channel_fidelity_bound"]
+__all__ = ["KrausChannel", "apply_channel", "is_cptp"]
 
 
 @dataclass(frozen=True)
@@ -152,14 +152,3 @@ def apply_channel(
         rho_tensor, channel.superoperator(), ket_axes + bra_axes
     )
 
-
-def channel_fidelity_bound(channel: KrausChannel) -> float:
-    """Lower bound on average gate fidelity from the leading Kraus term.
-
-    Useful for sanity checks in noise-model reports: for a channel written
-    as ``K_0 ≈ sqrt(1-p) I`` plus error terms, returns ``|tr K_0|² / d²``,
-    the standard entanglement-fidelity estimate of the identity component.
-    """
-    d = channel.operators[0].shape[0]
-    best = max(abs(np.trace(op)) ** 2 for op in channel.operators)
-    return float(best / d**2)

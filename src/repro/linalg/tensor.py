@@ -34,7 +34,6 @@ from repro.exceptions import SimulationError
 
 __all__ = [
     "apply_matrix_to_axes",
-    "embed_unitary",
     "flat_from_tensor",
     "kron_all",
     "operator_on_qubits",
@@ -145,9 +144,3 @@ def operator_on_qubits(
     out = out.transpose(tuple(range(num_qubits - 1, -1, -1)) + (num_qubits,))
     return np.ascontiguousarray(out.reshape(dim, dim))
 
-
-def embed_unitary(
-    small: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Alias of :func:`operator_on_qubits` restricted to unitaries."""
-    return operator_on_qubits(small, qubits, num_qubits)

@@ -7,7 +7,9 @@ Kraus channels reuse :func:`repro.linalg.channels.apply_channel`.
 
 Memory is ``16 · 4^n`` bytes, fine for the ≤ 8-qubit devices of the paper's
 experiments.  The fake-hardware backend interleaves noise channels between
-gates according to its :class:`~repro.noise.model.NoiseModel`.
+gates according to its :class:`~repro.noise.model.NoiseModel`, and evolves
+only the wires a job touches (:func:`evolve_noisy_tensor` takes the ordered
+physical wires its tensor axes hold).
 """
 
 from __future__ import annotations
@@ -84,28 +86,35 @@ def probabilities_from_tensor(
 
 
 def evolve_noisy_tensor(
-    tensor: np.ndarray, circuit: Circuit, noise_model, num_qubits: int
+    tensor: np.ndarray, circuit: Circuit, noise_model, wires: Sequence[int]
 ) -> np.ndarray:
-    """Push a rank-2n density tensor through a circuit with interleaved noise.
+    """Push a density tensor over ``wires`` through a circuit with interleaved noise.
 
+    ``tensor`` holds ``m = len(wires)`` qubits: ket axis ``i`` and bra axis
+    ``m + i`` are physical wire ``wires[i]``.  The circuit addresses physical
+    wires, and every non-barrier gate must act inside ``wires`` — a wire the
+    circuit never touches can be left out of the register, which is how
+    fragment jobs evolve only their own wires instead of the whole device.
     ``noise_model`` is any object with the
-    :meth:`~repro.noise.model.NoiseModel.channels_for` protocol.  Extra
-    trailing axes of ``tensor`` are batch dimensions, so a whole bank of
-    initial states can share one noisy evolution — the engine behind
+    :meth:`~repro.noise.model.NoiseModel.channels_for` protocol; rules are
+    looked up by physical qubit.  Extra trailing axes of ``tensor`` are
+    batch dimensions, so a whole bank of initial states can share one noisy
+    evolution — the engine behind
     :class:`repro.cutting.noisy_cache.NoisyTreeFragmentSimCache`'s
     ``4^{K_in}`` cut-basis response columns.
     """
-    n = num_qubits
+    m = len(wires)
+    axis = {w: i for i, w in enumerate(wires)}
     for inst in circuit:
         if inst.name == "barrier":
             continue
-        m = inst.gate.matrix()
-        ket_axes = list(inst.qubits)
-        bra_axes = [q + n for q in inst.qubits]
-        tensor = apply_matrix_to_axes(tensor, m, ket_axes)
-        tensor = apply_matrix_to_axes(tensor, m.conj(), bra_axes)
+        mat = inst.gate.matrix()
+        ket_axes = [axis[q] for q in inst.qubits]
+        bra_axes = [a + m for a in ket_axes]
+        tensor = apply_matrix_to_axes(tensor, mat, ket_axes)
+        tensor = apply_matrix_to_axes(tensor, mat.conj(), bra_axes)
         for channel, qubits in noise_model.channels_for(inst.name, inst.qubits):
-            tensor = apply_channel(tensor, channel, qubits, n)
+            tensor = apply_channel(tensor, channel, [axis[q] for q in qubits], m)
     return tensor
 
 

@@ -6,7 +6,6 @@ from repro.utils.bits import (
     bitstring_to_index,
     format_bitstring,
     index_to_bits,
-    index_to_bitstring,
     marginalize_probs,
     permute_probability_axes,
     split_index,
@@ -20,7 +19,6 @@ __all__ = [
     "bitstring_to_index",
     "format_bitstring",
     "index_to_bits",
-    "index_to_bitstring",
     "marginalize_probs",
     "permute_probability_axes",
     "split_index",

@@ -27,7 +27,6 @@ __all__ = [
     "bitstring_to_index",
     "format_bitstring",
     "index_to_bits",
-    "index_to_bitstring",
     "marginalize_probs",
     "permute_probability_axes",
     "split_index",
@@ -69,11 +68,6 @@ def format_bitstring(index: int, num_qubits: int) -> str:
         raise ValueError(f"index {index} out of range for {num_qubits} qubits")
     # binary formatting is most-significant first; reverse to put qubit 0 left
     return format(index, f"0{num_qubits}b")[::-1] if num_qubits else ""
-
-
-def index_to_bitstring(index: int, num_qubits: int) -> str:
-    """Alias of :func:`format_bitstring` for symmetry with the inverse."""
-    return format_bitstring(index, num_qubits)
 
 
 def bitstring_to_index(bitstring: str) -> int:

@@ -12,6 +12,11 @@ model agree on which variant serves which row.
 :func:`downstream_closure_reference` is the networkx form of the cutter's
 downstream closure, which :class:`~repro.circuits.dag.CircuitDag` computes
 on bitmasks.
+
+:func:`evolve_noisy_tensor_full_device` and
+:func:`noisy_variant_probs_reference` evolve every wire of the device — the
+semantics the fake-hardware backend and the noisy fragment cache match
+while evolving only the wires a job touches.
 """
 
 from __future__ import annotations
@@ -30,12 +35,19 @@ from repro.cutting.reconstruction import (
     _resolve_plan,
 )
 from repro.cutting.variance import _tree_row_stats
-from repro.utils.bits import permute_probability_axes
+from repro.linalg.channels import apply_channel
+from repro.linalg.tensor import apply_matrix_to_axes
+from repro.noise.readout import apply_readout_error
+from repro.sim.density import probabilities_from_tensor, zero_density_tensor
+from repro.transpile.pipeline import transpile
+from repro.utils.bits import marginalize_probs, permute_probability_axes
 
 __all__ = [
     "build_chain_fragment_tensor_reference",
     "build_tree_fragment_tensor_reference",
     "downstream_closure_reference",
+    "evolve_noisy_tensor_full_device",
+    "noisy_variant_probs_reference",
     "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution_reference",
     "tree_reconstruction_variance_reference",
@@ -192,3 +204,46 @@ def downstream_closure_reference(circuit, points) -> set[int]:
         if grown == down:
             return down
         down = grown
+
+
+def evolve_noisy_tensor_full_device(tensor, circuit, noise_model, num_qubits: int):
+    """Noisy evolution of a rank-2n density tensor on every device wire.
+
+    Ket axis ``q`` / bra axis ``n + q`` is physical wire ``q``; trailing
+    axes are batch dimensions.  Reference semantics for
+    :func:`repro.sim.density.evolve_noisy_tensor` on a touched-wire register.
+    """
+    n = num_qubits
+    for inst in circuit:
+        if inst.name == "barrier":
+            continue
+        m = inst.gate.matrix()
+        tensor = apply_matrix_to_axes(tensor, m, list(inst.qubits))
+        tensor = apply_matrix_to_axes(tensor, m.conj(), [q + n for q in inst.qubits])
+        for channel, qubits in noise_model.channels_for(inst.name, inst.qubits):
+            tensor = apply_channel(tensor, channel, qubits, n)
+    return tensor
+
+
+def noisy_variant_probs_reference(dev, circuit) -> np.ndarray:
+    """The exact distribution fake hardware samples for ``circuit``.
+
+    Transpile, evolve the whole device's density matrix, apply readout
+    error on every wire, un-permute the layout and marginalise the unused
+    wires — per-variant execution before any fragment cache or register
+    restriction.
+    """
+    physical, layout = transpile(circuit, dev.coupling)
+    n = physical.num_qubits
+    t = evolve_noisy_tensor_full_device(
+        zero_density_tensor(n), physical, dev.noise_model, n
+    )
+    probs = probabilities_from_tensor(t, n)
+    probs = apply_readout_error(probs / probs.sum(), dev.noise_model.readout, n)
+    perm = [0] * n
+    for logical, phys in enumerate(layout):
+        perm[phys] = logical
+    probs = permute_probability_axes(probs, perm)
+    if circuit.num_qubits < n:
+        probs = marginalize_probs(probs, range(circuit.num_qubits), n)
+    return probs

@@ -27,14 +27,14 @@ from repro.noise.kraus import (
     two_qubit_depolarizing,
 )
 from repro.noise.model import NoiseModel
-from repro.noise.readout import ReadoutError, apply_readout_error
+from repro.noise.readout import ReadoutError
 from repro.parallel import run_tree_fragments_parallel
 from repro.transpile.coupling import CouplingMap
 from repro.transpile.pipeline import transpile
-from repro.utils.bits import marginalize_probs, permute_probability_axes
 from test_fast_path_equivalence import random_cut_circuit
 
 from tests.helpers import pair_tree
+from tests.oracles import noisy_variant_probs_reference
 
 TOL = 1e-9
 
@@ -70,24 +70,6 @@ def make_device(config: str, topology: str = "linear") -> FakeHardwareBackend:
     )
 
 
-def reference_variant_probs(dev: FakeHardwareBackend, circuit) -> np.ndarray:
-    """The exact distribution ``_execute`` samples from (pre-cache semantics):
-    transpile the full variant circuit, evolve the noisy density matrix,
-    readout error, layout un-permutation, marginalisation."""
-    physical, layout = transpile(circuit, dev.coupling)
-    probs = dev._noisy_probabilities(physical)
-    probs = apply_readout_error(probs, dev.noise_model.readout, physical.num_qubits)
-    perm = [0] * physical.num_qubits
-    for logical, phys in enumerate(layout):
-        perm[phys] = logical
-    probs = permute_probability_axes(probs, perm)
-    if circuit.num_qubits < physical.num_qubits:
-        probs = marginalize_probs(
-            probs, range(circuit.num_qubits), physical.num_qubits
-        )
-    return probs
-
-
 def tree_for(K: int, seed: int):
     qc, spec = random_cut_circuit(K, seed)
     return pair_tree(qc, spec)
@@ -101,7 +83,7 @@ def assert_pool_matches_reference(dev, tree, variants):
     pool = dev.make_tree_cache_pool(tree)
     for i, combos in enumerate(variants):
         for a, s in combos:
-            ref = reference_variant_probs(dev, tree_variant(tree, i, a, s))
+            ref = noisy_variant_probs_reference(dev, tree_variant(tree, i, a, s))
             np.testing.assert_allclose(
                 pool[i].probabilities(a, s), ref, atol=TOL
             )

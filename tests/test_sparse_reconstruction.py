@@ -96,6 +96,28 @@ def test_top_k_stable_tie_break():
     assert list(top_k(2).select(scores)) == [0, 1]
 
 
+def test_top_k_ties_follow_merged_column_order():
+    """Tied outcomes are kept in merged column order, first operand's
+    columns fastest — not in final qubit-order index.
+
+    Node 0 outputs qubits (0, 3) and node 1 qubits (1, 2); every node
+    score ties, so each keeps its three lowest output indices.  At the
+    final merge node 0's columns run fastest: ``q3=1`` (column 2, final
+    index 8) outranks the tied ``q2=1`` (column 6, final index 4).
+    """
+    from repro.circuits.circuit import Circuit
+    from repro.cutting.cut import CutPoint, CutSpec
+
+    qc = Circuit(4).h(0).cx(0, 1).h(2).cx(1, 2).h(3)
+    tree = partition_tree(qc, [CutSpec((CutPoint(1, 1),))])
+    assert [f.out_original for f in tree.fragments] == [[0, 3], [1, 2]]
+    data = exact_tree_data(tree)
+    dense = reconstruct_tree_distribution(data, postprocess="raw")
+    assert np.allclose(dense[[0, 3, 4, 8]], 0.125)  # 4 and 8 tie
+    sd = reconstruct_tree_distribution(data, postprocess="raw", prune=top_k(3))
+    assert list(sd.indices) == [0, 3, 8]
+
+
 # ------------------------------------------------------ SparseDistribution
 
 
