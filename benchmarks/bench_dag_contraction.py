@@ -63,22 +63,22 @@ _SEARCHED = dp_plan(_SPEC)
 @pytest.mark.benchmark(group="dag-contraction-fixed")
 def test_dag_contraction_fixed(benchmark):
     """Baseline: the fixed leaves-to-root order on the branchy DAG."""
-    vec, order = record_memory(
+    vec = record_memory(
         benchmark, _contract_network, _TENSORS, _TREE, _FIXED, None
     )
     benchmark(lambda: _contract_network(_TENSORS, _TREE, _FIXED, None))
-    assert vec.size == 1 << len(order)
+    assert vec.size == 1 << len(_TREE.output_order())
 
 
 @pytest.mark.benchmark(group="dag-contraction-searched")
 def test_dag_contraction_searched(benchmark):
     """The searched plan must beat the fixed order (the perf gate)."""
     assert _SEARCHED.cost * 5 <= _FIXED.cost
-    vec, order = record_memory(
+    vec = record_memory(
         benchmark, _contract_network, _TENSORS, _TREE, _SEARCHED, None
     )
     benchmark(lambda: _contract_network(_TENSORS, _TREE, _SEARCHED, None))
-    assert vec.size == 1 << len(order)
+    assert vec.size == 1 << len(_TREE.output_order())
 
 
 @pytest.mark.benchmark(group="dag-plan-search")

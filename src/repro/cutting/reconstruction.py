@@ -44,7 +44,11 @@ There is one contraction path: the network is merged pairwise in the order
 of a :class:`~repro.cutting.contraction.ContractionPlan` — the fixed
 leaves-to-root order on trees, a searched one on DAGs — optionally pruning
 outcome columns after every merge (``prune=``, see
-:mod:`repro.cutting.sparse`).
+:mod:`repro.cutting.sparse`).  On the dense path the last merge writes the
+``2^n`` result straight into qubit order, one cache-sized block of top
+output qubits at a time, and applies the ``2^{-K}`` scale or the clip on
+each block as it goes: the result is the only ``2^n`` array a dense
+reconstruction allocates.
 
 Finite shots can leave small negative quasi-probabilities; ``postprocess``
 chooses between returning them (``"raw"``), clipping + renormalising
@@ -55,6 +59,7 @@ paper's ref [19]).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -67,7 +72,6 @@ from repro.cutting.sparse import (
     postprocess_sparse,
 )
 from repro.exceptions import ReconstructionError
-from repro.utils.bits import permute_probability_axes
 
 __all__ = [
     "build_chain_fragment_tensor",
@@ -82,6 +86,9 @@ __all__ = [
 
 #: dense reconstructions accumulate in this dtype unless told otherwise
 DEFAULT_DTYPE = np.float64
+
+#: accepted ``postprocess=`` modes of the reconstruction entry points
+_POSTPROCESS_MODES: tuple[str, ...] = ("raw", "clip", "simplex")
 
 #: Default basis pool per cut (paper Eq. 1).
 FULL_BASES: tuple[str, ...] = ("I", "X", "Y", "Z")
@@ -313,6 +320,32 @@ def _network_clusters(tensors, tree, group_bases, vals=None):
     return clusters
 
 
+def _move_bits(x: np.ndarray, src, dst) -> np.ndarray:
+    """``x`` with bit ``src[j]`` moved to bit ``dst[j]``; other bits drop.
+
+    The one bit-placement primitive of the contraction: sorting a side's
+    columns by qubit, placing a pruned result's value bits at their
+    qubits, and the closing merge's block indices all go through it.  A
+    run where both ``src`` and ``dst`` step by one moves in a single
+    shift-and-mask, so label lists made of a few ascending runs cost a
+    few passes, not one per bit.
+    """
+    out = np.zeros_like(x)
+    j = 0
+    while j < len(src):
+        end = j + 1
+        while (
+            end < len(src)
+            and src[end] == src[end - 1] + 1
+            and dst[end] == dst[end - 1] + 1
+        ):
+            end += 1
+        mask = (1 << (end - j)) - 1
+        out |= ((x >> src[j]) & mask) << dst[j]
+        j = end
+    return out
+
+
 def _sorted_columns(c: "_NetCluster") -> "_NetCluster":
     """``c`` with its output columns reordered so its labels ascend.
 
@@ -328,16 +361,7 @@ def _sorted_columns(c: "_NetCluster") -> "_NetCluster":
     if labels == c.labels:
         return c
     cols = np.arange(c.t.shape[-1]) if c.v is None else c.v
-    vals = np.zeros_like(cols)
-    j = 0
-    while j < len(perm):
-        # move each run of consecutive old bits in one shift
-        end = j + 1
-        while end < len(perm) and perm[end] == perm[end - 1] + 1:
-            end += 1
-        mask = (1 << (end - j)) - 1
-        vals |= ((cols >> perm[j]) & mask) << j
-        j = end
+    vals = _move_bits(cols, perm, range(len(perm)))
     order = np.argsort(vals)
     return _NetCluster(
         groups=c.groups,
@@ -349,7 +373,129 @@ def _sorted_columns(c: "_NetCluster") -> "_NetCluster":
     )
 
 
-def _merge_clusters(a: "_NetCluster", b: "_NetCluster", group_sizes):
+class _DenseTail:
+    """What the dense path's closing merge does to each output block.
+
+    ``scale`` multiplies every entry (skipped at ``1``).  With ``clip``
+    negatives are clipped to zero instead and the scale is skipped —
+    normalising cancels a power-of-two scale exactly — and ``mass``
+    receives the clipped total: per-block sums added pairwise, the same
+    tree numpy's pairwise ``sum`` of the whole vector uses.
+    """
+
+    __slots__ = ("scale", "clip", "mass")
+
+    def __init__(self, scale: float = 1.0, clip: bool = False):
+        self.scale = scale
+        self.clip = clip
+        self.mass = None
+
+
+#: the closing merge writes blocks of at most ``2^_BLOCK_BITS`` outputs
+#: (128 KiB of float64): each block's GEMM, tail and gather stay in cache
+_BLOCK_BITS = 14
+
+
+@functools.lru_cache(maxsize=16)
+def _gather_index(free: tuple) -> np.ndarray:
+    """Block gather index: output ``o`` reads product position ``g[o]``.
+
+    Product bit ``j`` carries qubit ``free[j]``, so ``g[o]`` collects bit
+    ``free[j]`` of ``o`` into bit ``j``.  The low and high halves of
+    ``o`` place their bits independently, so ``g`` is the outer sum of
+    two ``√(2^m)``-long placements written straight into the index.
+    Memoised per label layout — a workload reconstructs the same tree
+    over and over — and left writeable: ``np.take`` copies a read-only
+    index on every call.
+    """
+    m = len(free)
+    low = m // 2
+    place = functools.partial(_move_bits, src=free, dst=range(m))
+    lo = place(np.arange(1 << low, dtype=np.intp))
+    hi = place(np.arange(1 << (m - low), dtype=np.intp) << low)
+    g = np.empty(1 << m, np.intp)
+    np.add(hi[:, None], lo, out=g.reshape(hi.size, lo.size))
+    return g
+
+
+def _write_qubit_order(B, A, labels_a, labels_b, tail: _DenseTail):
+    """``B @ A`` written straight into qubit order, block by block.
+
+    ``A`` is ``(S, D_a)`` and ``B`` ``(D_b, S)``, each side's columns in
+    ascending qubit order (``labels_a``/``labels_b``), together covering
+    qubits ``0..n-1``.  Output block ``k`` — the slice ``out[k·2^m :
+    (k+1)·2^m]`` — fixes the top ``n - m`` qubits; those of ``a`` are the
+    top bits of ``A``'s column index and those of ``b`` the top bits of
+    ``B``'s row index, so the block is one small GEMM of a contiguous row
+    block of ``B`` and a strided column block of ``A``.  ``tail`` runs on
+    the block while it is in cache, and one memoised index gathers it
+    into its slice; when the block's own layout is already qubit order
+    the GEMM writes into the slice directly.  The ``(D_b, D_a)`` product
+    is never formed: the result is the only ``2^n`` array.
+
+    Outputs of up to ``2^_BLOCK_BITS`` entries are one block, whose GEMM
+    is the full product's, bit for bit.  Larger ones take blocks of
+    ``2^m`` with ``m = min(_BLOCK_BITS, n - 2)``, raised where needed so
+    each side keeps its lowest qubit free in every block: a block GEMM
+    never degenerates into a matrix-vector product.
+    """
+    n = len(labels_a) + len(labels_b)
+    m = n
+    if n > _BLOCK_BITS:
+        # at least four blocks, so the block buffer and its index add at
+        # most half an output; each side keeps its lowest qubit free
+        lowest = [ls[0] + 1 for ls in (labels_a, labels_b) if ls]
+        m = min(n, max([min(_BLOCK_BITS, n - 2)] + lowest))
+    fa = sum(q < m for q in labels_a)
+    fb = sum(q < m for q in labels_b)
+    ha, hb = len(labels_a) - fa, len(labels_b) - fb
+    s = A.shape[0]
+    A_blocks = A.reshape(s, 1 << ha, -1)
+    B_blocks = B.reshape(1 << hb, -1, s)
+    shape = (B_blocks.shape[1], A_blocks.shape[2])
+    if m == n:
+        pairs = [(0, 0)]
+    else:
+        # block k's row block of B and column block of A
+        blocks = np.arange(1 << (n - m))
+        ia = _move_bits(blocks, [q - m for q in labels_a[fa:]], range(ha))
+        ib = _move_bits(blocks, [q - m for q in labels_b[fb:]], range(hb))
+        pairs = list(zip(ia.tolist(), ib.tolist()))
+    free = tuple(labels_a[:fa] + labels_b[:fb])
+    g = None
+    if free != tuple(range(m)):
+        # only the common ≤ 2^_BLOCK_BITS index is memoised
+        gather = (
+            _gather_index if m <= _BLOCK_BITS else _gather_index.__wrapped__
+        )
+        g = gather(free)
+    out = np.empty(1 << n, np.result_type(A, B))
+    prod = None if g is None else np.empty(shape, out.dtype)
+    sums = np.empty(len(pairs), out.dtype) if tail.clip else None
+    for k, (i, j) in enumerate(pairs):
+        dst = out[k << m : (k + 1) << m]
+        if g is None:
+            prod = dst.reshape(shape)
+        np.matmul(B_blocks[j], A_blocks[:, i], out=prod)
+        if tail.clip:
+            np.maximum(prod, 0.0, out=prod)
+        elif tail.scale != 1.0:
+            prod *= tail.scale
+        if g is not None:
+            # indices are in range; "raise" would buffer a copy of dst
+            np.take(prod.reshape(-1), g, out=dst, mode="clip")
+        if tail.clip:
+            sums[k] = dst.sum()
+    if tail.clip:
+        while sums.size > 1:
+            sums = sums[0::2] + sums[1::2]
+        tail.mass = sums[0]
+    return out
+
+
+def _merge_clusters(
+    a: "_NetCluster", b: "_NetCluster", group_sizes, out=None
+) -> "_NetCluster":
     """Contract two clusters over their shared open group axes.
 
     One (batched) GEMM whose result is already in the merged cluster's
@@ -370,15 +516,18 @@ def _merge_clusters(a: "_NetCluster", b: "_NetCluster", group_sizes):
 
     The merge that closes the last open groups first sorts each side's
     columns by original qubit (:func:`_sorted_columns`, a copy of the
-    small operands), so the caller's final permutation to qubit order
-    moves a few long runs of bits instead of single bits.  With no shared
-    group (disconnected halves of a multi-source DAG) ``S = 1`` and the
-    merge is an outer product.
+    small operands).  Given ``out`` (a :class:`_DenseTail`; the dense
+    path's last merge) it then writes the ``2^n`` result straight into
+    qubit order, one cache-sized block at a time with the tail applied
+    (:func:`_write_qubit_order`), and the merged cluster's labels are
+    ``0..n-1``.  With no shared group (disconnected halves of a
+    multi-source DAG) ``S = 1`` and the merge is an outer product.
     """
     shared = [g for g in a.groups if g in b.groups]
     open_a = [i for i, g in enumerate(a.groups) if g not in shared]
     open_b = [i for i, g in enumerate(b.groups) if g not in shared]
-    if not open_a and not open_b:
+    closing = not open_a and not open_b
+    if closing:
         a, b = _sorted_columns(a), _sorted_columns(b)
     sa = [a.groups.index(g) for g in shared]
     sb = [b.groups.index(g) for g in shared]
@@ -392,14 +541,19 @@ def _merge_clusters(a: "_NetCluster", b: "_NetCluster", group_sizes):
     B = b.t.transpose(open_b + [len(b.groups)] + sb).reshape(
         math.prod(gb) * d_b, s
     )
-    t = np.matmul(B, A).reshape(ga + gb + (d_b * d_a,))
+    if out is not None and closing:
+        t = _write_qubit_order(B, A[0], a.labels, b.labels, out)
+        labels = list(range(len(a.labels) + len(b.labels)))
+    else:
+        t = np.matmul(B, A).reshape(ga + gb + (d_b * d_a,))
+        labels = a.labels + b.labels
     v = None
     if a.v is not None:
         v = (a.v[None, :] | (b.v << len(a.labels))[:, None]).ravel()
     return _NetCluster(
         groups=[a.groups[i] for i in open_a] + [b.groups[i] for i in open_b],
         t=t,
-        labels=a.labels + b.labels,
+        labels=labels,
         members=a.members | b.members,
         k_closed=a.k_closed
         + b.k_closed
@@ -408,15 +562,16 @@ def _merge_clusters(a: "_NetCluster", b: "_NetCluster", group_sizes):
     )
 
 
-def _walk_plan(clusters, tree, plan, after_merge=None) -> "_NetCluster":
+def _walk_plan(clusters, tree, plan, after_merge=None, out=None):
     """Merge ``clusters`` pairwise in ``plan`` order; return the last one.
 
     The single plan walk of the dense and pruned contractions: clusters
     are tracked by union-find over fragment indices, each step merges the
     clusters holding its two fragments (:func:`_merge_clusters`), and
     ``after_merge`` (the pruned path's re-selection) may shrink the merged
-    cluster in place before it is stored.  A plan that merges a cluster
-    with itself, or leaves a group uncontracted, is rejected.
+    cluster in place before it is stored.  ``out`` goes to the last merge
+    only (the dense path's qubit-order tail).  A plan that merges a
+    cluster with itself, or leaves a group uncontracted, is rejected.
     """
     rep = list(range(tree.num_fragments))
 
@@ -433,8 +588,12 @@ def _walk_plan(clusters, tree, plan, after_merge=None) -> "_NetCluster":
                 f"contraction plan merges cluster of fragment {a} with "
                 "itself"
             )
+        last_step = len(clusters) == 2
         merged = _merge_clusters(
-            clusters[ra], clusters.pop(rb), tree.group_sizes
+            clusters[ra],
+            clusters.pop(rb),
+            tree.group_sizes,
+            out=out if last_step else None,
         )
         rep[rb] = ra
         if after_merge is not None:
@@ -449,24 +608,34 @@ def _walk_plan(clusters, tree, plan, after_merge=None) -> "_NetCluster":
 
 
 def _contract_network(
-    tensors, tree, plan, bases
-) -> tuple[np.ndarray, list[int]]:
+    tensors, tree, plan, bases, postprocess: str = "raw", scale: float = 1.0
+) -> np.ndarray:
     """Planned pairwise contraction of a fragment network (dense).
 
     Node tensors (from :func:`build_tree_fragment_tensor`, or the variance
     model's substituted moments) are split into one row axis per incident
     group and merged pairwise in ``plan`` order; each merge is one GEMM
     over the groups the two clusters share (:func:`_merge_clusters`).
-    Returns the joint output vector together with the original-qubit
-    label of every bit — callers permute with
-    :func:`~repro.utils.bits.permute_probability_axes`.  The vector is
-    the last merge's fresh product, never a view of an input tensor.
+    The last merge writes the joint output vector straight into qubit
+    order, multiplied by ``scale``, and finishes ``postprocess``:
+    ``"clip"`` clips block by block and divides by the clipped mass (the
+    scale cancels and is skipped), ``"simplex"`` projects the scaled
+    vector.  Returns that vector — a fresh array, never a view of an
+    input tensor, and the only ``2^n`` array the contraction allocates
+    (``"simplex"`` returns a second one).
     """
     group_bases = _normalise_chain_bases(bases, tree.group_sizes)
-    last = _walk_plan(
-        _network_clusters(tensors, tree, group_bases), tree, plan
-    )
-    return last.t, last.labels
+    tail = _DenseTail(scale, clip=postprocess == "clip")
+    v = _walk_plan(
+        _network_clusters(tensors, tree, group_bases), tree, plan, out=tail
+    ).t
+    if tail.clip:
+        if tail.mass <= 0:
+            raise ReconstructionError("reconstruction clipped to zero mass")
+        v /= tail.mass
+    elif postprocess == "simplex":
+        v = project_to_simplex(v)
+    return v
 
 
 def _contract_network_pruned(
@@ -729,11 +898,12 @@ def reconstruct_tree_distribution(
     :class:`~repro.cutting.contraction.ContractionPlan` — each merge is one
     GEMM over the cut-group row axes the two clusters share, written in
     the merged layout, so per-group row counts meet only their neighbours
-    and never multiply globally.  The dense tail then makes at most one
-    permuting copy of the ``2^n`` result, to qubit order, into a buffer
-    this call owns, and runs the exact ``1/2^K`` scale and the ``"clip"``
-    postprocess in place on it: a dense reconstruction holds at most two
-    ``2^n`` arrays at once.  ``data`` is
+    and never multiply globally.  The last merge writes the ``2^n`` result
+    straight into qubit order, one cache-sized block at a time, and runs
+    the exact ``1/2^K`` scale (or the ``"clip"`` clip and its sum) on each
+    block before it lands: a dense reconstruction holds one ``2^n`` array
+    (``"simplex"`` returns a second, projected one).  An unknown
+    ``postprocess`` is rejected before any tensor is built.  ``data`` is
     :class:`~repro.cutting.execution.TreeFragmentData` of a tree or DAG;
     the paper's single cut is the 2-node tree, and chains run through
     :func:`reconstruct_chain_distribution`.  ``bases``
@@ -758,17 +928,16 @@ def reconstruct_tree_distribution(
     ``"dp"``) searches with that planner, and an explicit plan object is
     validated and used as given (every plan agrees to ≤ 1e-9).
     """
+    if postprocess not in _POSTPROCESS_MODES:
+        raise ReconstructionError(f"unknown postprocess mode {postprocess!r}")
     tree = _tree_of(data)
     plan = _resolve_plan(tree, bases, plan)
     if prune is not None:
         idx, values, order, bound = _contract_network_pruned(
             data, tree, bases, prune, dtype, plan
         )
-        # value-index bit j carries original qubit order[j]: the sparse
-        # counterpart of permute_probability_axes' dense reshuffle
-        final = np.zeros_like(idx)
-        for j, q in enumerate(order):
-            final |= ((idx >> j) & 1) << q
+        # value-index bit j carries original qubit order[j]
+        final = _move_bits(idx, range(len(order)), order)
         srt = np.argsort(final)
         sd = SparseDistribution(
             num_qubits=len(order),
@@ -783,12 +952,8 @@ def reconstruct_tree_distribution(
         build_tree_fragment_tensor(data, i, bases, dtype)[0]
         for i in range(tree.num_fragments)
     ]
-    v, order = _contract_network(tensors, tree, plan, bases)
-    # v is this call's own array (a view of it for an identity order), so
-    # the scale and the postprocess may run in place
-    full = permute_probability_axes(v, order)
-    full /= float(1 << tree.total_cuts)
-    return _postprocess(full, postprocess)
+    scale = 1.0 / float(1 << tree.total_cuts)
+    return _contract_network(tensors, tree, plan, bases, postprocess, scale)
 
 
 def reconstruct_chain_distribution(
@@ -876,26 +1041,3 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     rho = rho_idx[-1]
     tau = css[rho] / (rho + 1.0)
     return np.clip(v - tau, 0.0, None)
-
-
-def _postprocess(vec, mode: str):
-    """Apply ``postprocess=`` to a dense vector; ``"clip"`` works in place.
-
-    Callers pass a buffer they own: ``"raw"`` returns it as is and
-    ``"clip"`` clips, sums and divides inside it (``"simplex"`` returns a
-    new array).
-    """
-    if isinstance(vec, SparseDistribution):
-        return postprocess_sparse(vec, mode)
-    if mode == "raw":
-        return vec
-    if mode == "clip":
-        out = np.clip(vec, 0.0, None, out=vec)
-        s = out.sum()
-        if s <= 0:
-            raise ReconstructionError("reconstruction clipped to zero mass")
-        out /= s
-        return out
-    if mode == "simplex":
-        return project_to_simplex(vec)
-    raise ReconstructionError(f"unknown postprocess mode {mode!r}")

@@ -247,7 +247,7 @@ class SparseDistribution:
 
 
 def postprocess_sparse(sd: SparseDistribution, mode: str) -> SparseDistribution:
-    """Sparse analogue of the dense ``_postprocess`` modes.
+    """Sparse analogue of the dense ``postprocess=`` modes.
 
     ``clip`` clips negatives and renormalises over the *kept* support;
     ``simplex`` projects the kept values onto the probability simplex of

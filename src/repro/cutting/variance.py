@@ -41,7 +41,6 @@ from repro.cutting.reconstruction import (
     _tree_of,
     build_tree_fragment_tensor,
 )
-from repro.utils.bits import permute_probability_axes
 
 __all__ = [
     "chain_predicted_stddev_tv",
@@ -95,17 +94,15 @@ def tree_reconstruction_variance(data, bases=None) -> np.ndarray:
     ]
     plan = _resolve_plan(tree, bases, None)
     scale = 1.0 / float(4**tree.total_cuts)
-    # every term is contracted along the same plan, so all share one bit
-    # order: sum in contraction order and permute once
+    # every term arrives in qubit order from the contraction's last merge
     total = np.zeros(1 << n_total)
     for v in range(tree.num_fragments):
         tensors = [
             stats[i][1] if i == v else np.square(stats[i][0])
             for i in range(tree.num_fragments)
         ]
-        vec, order = _contract_network(tensors, tree, plan, bases)
-        total += vec
-    return scale * permute_probability_axes(total, order)
+        total += _contract_network(tensors, tree, plan, bases)
+    return scale * total
 
 
 def tree_predicted_stddev_tv(data, bases=None) -> float:

@@ -9,6 +9,12 @@ signs) is the library's own :func:`~repro.cutting.reconstruction._chain_row_runs
 iterator, which the variance model shares, so oracle, kernel and variance
 model agree on which variant serves which row.
 
+:func:`contract_network_reference` and :func:`dense_reconstruction_reference`
+are the dense contraction as whole-vector passes — full GEMMs on every
+merge, then one permuting copy to qubit order, then the ``2^{-K}`` scale
+and :func:`postprocess_reference` — the semantics the closing merge
+matches while writing qubit order block by block.
+
 :func:`downstream_closure_reference` is the networkx form of the cutter's
 downstream closure, which :class:`~repro.circuits.dag.CircuitDag` computes
 on bitmasks.
@@ -27,13 +33,18 @@ import networkx as nx
 import numpy as np
 
 from repro.cutting.reconstruction import (
+    DEFAULT_DTYPE,
     _chain_row_runs,
     _chain_rows,
-    _contract_network,
+    _network_clusters,
     _normalise_chain_bases,
-    _postprocess,
     _resolve_plan,
+    _tree_of,
+    _walk_plan,
+    build_tree_fragment_tensor,
+    project_to_simplex,
 )
+from repro.exceptions import ReconstructionError
 from repro.cutting.variance import _tree_row_stats
 from repro.linalg.channels import apply_channel
 from repro.linalg.tensor import apply_matrix_to_axes
@@ -45,9 +56,12 @@ from repro.utils.bits import marginalize_probs, permute_probability_axes
 __all__ = [
     "build_chain_fragment_tensor_reference",
     "build_tree_fragment_tensor_reference",
+    "contract_network_reference",
+    "dense_reconstruction_reference",
     "downstream_closure_reference",
     "evolve_noisy_tensor_full_device",
     "noisy_variant_probs_reference",
+    "postprocess_reference",
     "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution_reference",
     "tree_reconstruction_variance_reference",
@@ -131,7 +145,77 @@ def reconstruct_tree_distribution_reference(
         joint += vec
     joint /= float(1 << tree.total_cuts)
     full = permute_probability_axes(joint, tree.output_order())
-    return _postprocess(full, postprocess)
+    return postprocess_reference(full, postprocess)
+
+
+def postprocess_reference(vec, mode: str):
+    """Dense ``postprocess=`` as separate passes over a whole vector.
+
+    ``"clip"`` clips, sums and divides inside ``vec``; ``"raw"`` returns
+    it as is and ``"simplex"`` a new projected array.  Reference
+    semantics for the tail the closing merge runs block by block.
+    """
+    if mode == "raw":
+        return vec
+    if mode == "clip":
+        out = np.clip(vec, 0.0, None, out=vec)
+        s = out.sum()
+        if s <= 0:
+            raise ReconstructionError("reconstruction clipped to zero mass")
+        out /= s
+        return out
+    if mode == "simplex":
+        return project_to_simplex(vec)
+    raise ReconstructionError(f"unknown postprocess mode {mode!r}")
+
+
+def contract_network_unordered(tensors, tree, plan, bases=None):
+    """Plain pairwise contraction: ``(vector, label of every bit)``.
+
+    Every merge, the last one included, is one full GEMM
+    (``_merge_clusters`` without ``out=``), so the vector is the
+    ``(D_b, D_a)`` product of the closing merge, bit ``j`` carrying
+    original qubit ``labels[j]``.
+    """
+    group_bases = _normalise_chain_bases(bases, tree.group_sizes)
+    last = _walk_plan(
+        _network_clusters(tensors, tree, group_bases), tree, plan
+    )
+    return last.t.reshape(-1), last.labels
+
+
+def contract_network_reference(tensors, tree, plan, bases=None):
+    """Contract, then permute to qubit order with one whole-vector copy.
+
+    Reference semantics for
+    :func:`repro.cutting.reconstruction._contract_network`, whose last
+    merge writes qubit order block by block.
+    """
+    return permute_probability_axes(
+        *contract_network_unordered(tensors, tree, plan, bases)
+    )
+
+
+def dense_reconstruction_reference(
+    data, bases=None, postprocess: str = "raw", dtype=DEFAULT_DTYPE, plan=None
+):
+    """The dense reconstruction as whole-vector passes.
+
+    The same node tensors and plan as
+    :func:`repro.cutting.reconstruction.reconstruct_tree_distribution`,
+    contracted by :func:`contract_network_reference`, then divided by
+    ``2^K`` and postprocessed by :func:`postprocess_reference`.  ``"raw"``
+    must match the library bit for bit.
+    """
+    tree = _tree_of(data)
+    plan = _resolve_plan(tree, bases, plan)
+    tensors = [
+        build_tree_fragment_tensor(data, i, bases, dtype)[0]
+        for i in range(tree.num_fragments)
+    ]
+    full = contract_network_reference(tensors, tree, plan, bases)
+    full /= float(1 << tree.total_cuts)
+    return postprocess_reference(full, postprocess)
 
 
 def reconstruct_chain_distribution_reference(
@@ -148,10 +232,10 @@ def tree_reconstruction_variance_reference(data, bases=None) -> np.ndarray:
 
     ``Var ≈ 4^{-K} Σ_i perm(C_i)`` with ``C_i`` the network contracted with
     node ``i``'s row variances substituted and every other node's means
-    squared, each term permuted to qubit order on its own before it is
-    added.  Reference semantics for
-    :func:`repro.cutting.variance.tree_reconstruction_variance`, which
-    permutes the sum once.
+    squared, each term contracted by :func:`contract_network_reference`
+    (permuted to qubit order on its own) before it is added.  Reference
+    semantics for :func:`repro.cutting.variance.tree_reconstruction_variance`,
+    whose contraction delivers each term in qubit order.
     """
     tree = data.tree
     n_total = len(tree.output_order())
@@ -167,8 +251,7 @@ def tree_reconstruction_variance_reference(data, bases=None) -> np.ndarray:
             stats[i][1] if i == v else np.square(stats[i][0])
             for i in range(tree.num_fragments)
         ]
-        vec, order = _contract_network(tensors, tree, plan, bases)
-        total += permute_probability_axes(vec, order)
+        total += contract_network_reference(tensors, tree, plan, bases)
     return (1.0 / float(4**tree.total_cuts)) * total
 
 

@@ -397,8 +397,8 @@ class TestMergeLayouts:
         merged = []
         merge = rec._merge_clusters
 
-        def spy(a, b, group_sizes):
-            out = merge(a, b, group_sizes)
+        def spy(a, b, group_sizes, **kwargs):
+            out = merge(a, b, group_sizes, **kwargs)
             merged.append((a.t.dtype, b.t.dtype, out.t.dtype))
             return out
 

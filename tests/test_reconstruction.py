@@ -208,10 +208,12 @@ class TestInPlaceTail:
             build_tree_fragment_tensor(data, i)[0]
             for i in range(tree.num_fragments)
         ]
-        v, order = _contract_network(
-            tensors, tree, _resolve_plan(tree, None, None), None
-        )
-        # already in qubit order: the tail makes no permuting copy
+        from tests.oracles import contract_network_unordered
+
+        plan = _resolve_plan(tree, None, None)
+        v = _contract_network(tensors, tree, plan, None)
+        # already in qubit order: the closing GEMM writes the result itself
+        _, order = contract_network_unordered(tensors, tree, plan)
         assert order == list(range(len(order)))
         assert not any(np.shares_memory(v, t) for t in tensors)
         records = [

@@ -19,6 +19,8 @@ The contract under test (see :mod:`repro.cutting.sparse`):
 * postprocess edge cases, dense and sparse.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,7 +35,6 @@ from repro.cutting.execution import (
 )
 from repro.cutting.reconstruction import (
     project_to_simplex,
-    _postprocess,
     reconstruct_counts,
     reconstruct_tree_distribution,
 )
@@ -421,13 +422,26 @@ def test_project_to_simplex_edge_cases():
 
 
 def test_dense_postprocess_edge_cases():
-    with pytest.raises(ReconstructionError):
-        _postprocess(np.array([-0.2, -0.1]), "clip")
-    with pytest.raises(ReconstructionError):
-        _postprocess(np.array([0.5, 0.5]), "nope")
+    """Through the dense reconstruction: ``"clip"`` of an all-zero
+    result raises, ``"raw"`` keeps the negatives, an unknown mode is
+    rejected."""
+    data = _tree_data([0], 3)
+
+    def scaled(c):
+        # scaling one node's records scales the whole (linear) result
+        first = {k: c * r for k, r in data.records[0].items()}
+        return replace(data, records=[first] + data.records[1:])
+
+    with pytest.raises(ReconstructionError, match="zero mass"):
+        reconstruct_tree_distribution(scaled(0.0))
+    negated = scaled(-1.0)
+    raw = reconstruct_tree_distribution(negated, postprocess="raw")
+    assert raw.min() < 0
     assert np.array_equal(
-        _postprocess(np.array([-1.0, 2.0]), "raw"), [-1.0, 2.0]
+        raw, -reconstruct_tree_distribution(data, postprocess="raw")
     )
+    with pytest.raises(ReconstructionError, match="unknown postprocess"):
+        reconstruct_tree_distribution(data, postprocess="nope")
 
 
 def test_sparse_postprocess_edge_cases():
