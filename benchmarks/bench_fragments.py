@@ -10,7 +10,10 @@ single cut — the 2-node fragment tree — across cut counts, three ways:
   circuit simulated from scratch (the ``3^K + 6^K`` scaling the paper's
   cost model counts);
 * ``tree2-sampled`` — :func:`~repro.cutting.execution.run_tree_fragments`
-  against the ideal backend (cache + multinomial sampling).
+  against the ideal backend (cache + multinomial sampling);
+* ``tree2-exact-counts`` — the same call against ``IdealBackend(exact=True)``:
+  rounded expected counts, no draw, so the cell times the per-variant
+  count-vector → record path itself.
 
 Baselines live in ``benchmarks/BENCH_fragments.json``; refresh with
 ``python benchmarks/compare.py --write-baseline`` and compare a working
@@ -61,6 +64,18 @@ def test_run_tree2_fragments_ideal(benchmark, K):
     tree = _TREES[K]
     data = benchmark(
         lambda: run_tree_fragments(tree, IdealBackend(), shots=1000, seed=0)
+    )
+    assert data.num_variants == 3**K + 6**K
+
+
+@pytest.mark.benchmark(group="tree2-exact-counts")
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_run_tree2_fragments_ideal_exact(benchmark, K):
+    tree = _TREES[K]
+    data = benchmark(
+        lambda: run_tree_fragments(
+            tree, IdealBackend(exact=True), shots=1000, seed=0
+        )
     )
     assert data.num_variants == 3**K + 6**K
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import BackendError, CorruptedResultError
-from repro.sim.sampler import counts_to_probs
+from repro.sim.sampler import Counts, counts_to_probs
 from repro.utils.timing import VirtualClock
 
 __all__ = ["Backend", "ExecutionResult", "validate_execution_result"]
@@ -35,16 +35,20 @@ class ExecutionResult:
     Attributes
     ----------
     counts:
-        Display-bitstring → occurrences (qubit 0 leftmost).
+        Display-bitstring → occurrences (qubit 0 leftmost): a
+        :class:`~repro.sim.sampler.Counts` over the dense count vector (what
+        the built-in backends return) or a plain ``dict``.
     shots:
-        Total number of shots (equals ``sum(counts.values())``).
+        The shot budget the job ran with.  Sampled counts sum to it;
+        exact-mode counts (metadata ``exact=True``) are rounded ``p * shots``
+        per outcome and may miss it by rounding.
     num_qubits:
         Width of the measured register.
     seconds:
         Modelled device seconds charged for this job.
     """
 
-    counts: dict[str, int]
+    counts: "Counts | dict[str, int]"
     shots: int
     num_qubits: int
     seconds: float = 0.0
@@ -73,7 +77,9 @@ def validate_execution_result(
     re-execution re-samples) if any counts key is not an ``n``-bit string
     over ``{0,1}``, any count is negative or non-integer, the shot total
     does not match ``result.shots``, or the declared shots/width disagree
-    with what the caller requested.  Exact-mode results (metadata
+    with what the caller requested.  A :class:`~repro.sim.sampler.Counts`
+    is checked on its vector (length ``2^n``, integer dtype, no negative
+    entry), a plain mapping key by key.  Exact-mode results (metadata
     ``exact=True``) round ``p * shots`` per outcome, so their totals may
     legitimately miss ``shots`` by rounding; only the total check is
     skipped for them.
@@ -87,17 +93,24 @@ def validate_execution_result(
         raise CorruptedResultError(
             f"result declares {result.shots} shots, {expected_shots} requested"
         )
-    total = 0
-    for key, count in result.counts.items():
-        if len(key) != n or any(ch not in "01" for ch in key):
-            raise CorruptedResultError(
-                f"counts key {key!r} is not a {n}-bit string"
-            )
-        if not isinstance(count, (int, np.integer)) or count < 0:
-            raise CorruptedResultError(
-                f"count {count!r} for key {key!r} is negative or non-integer"
-            )
-        total += int(count)
+    counts = result.counts
+    if isinstance(counts, Counts):
+        defect = counts.defect(n)
+        if defect is not None:
+            raise CorruptedResultError(defect)
+        total = int(counts.array.sum())
+    else:
+        total = 0
+        for key, count in counts.items():
+            if len(key) != n or any(ch not in "01" for ch in key):
+                raise CorruptedResultError(
+                    f"counts key {key!r} is not a {n}-bit string"
+                )
+            if not isinstance(count, (int, np.integer)) or count < 0:
+                raise CorruptedResultError(
+                    f"count {count!r} for key {key!r} is negative or non-integer"
+                )
+            total += int(count)
     if not result.metadata.get("exact") and total != result.shots:
         raise CorruptedResultError(
             f"counts total {total} != declared shots {result.shots}"

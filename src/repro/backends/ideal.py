@@ -11,6 +11,7 @@ pulls every variant's exact distribution from the fragment's shared
 simulation plus cheap axis rotations instead of one full circuit run per
 variant) and only then samples — the per-variant RNG streams are spawned
 exactly as the circuit-level path would, so results stay reproducible.
+Exact mode draws nothing, so it spawns no streams on that path.
 """
 
 from __future__ import annotations
@@ -109,7 +110,14 @@ class IdealBackend(Backend):
             or cache.fragment is not frag
         ):
             cache = TreeFragmentSimCache(frag)
-        rngs = spawn_rngs(seed, len(combos))
+        if self.exact:
+            # exact counts draw nothing: spawn no streams, only check the
+            # length of a supplied stream list
+            if isinstance(seed, (list, tuple)):
+                spawn_rngs(seed, len(combos))
+            rngs = [None] * len(combos)
+        else:
+            rngs = spawn_rngs(seed, len(combos))
         return [
             self._result_from_probs(
                 cache.probabilities(a, s), frag.num_qubits, shots, rng

@@ -21,6 +21,7 @@ analytic golden-cut finder and the cut searcher's cost objective.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +29,6 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.exceptions import CutError
-from repro.utils.bits import split_index
 
 __all__ = [
     "ChainFragmentData",
@@ -38,6 +38,23 @@ __all__ = [
     "run_chain_fragments",
     "run_tree_fragments",
 ]
+
+
+@functools.lru_cache(maxsize=256)
+def _record_layout(
+    out_local: tuple[int, ...], cut_local: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """Transpose order and record shape of one fragment's ``A[b_out, b_cut]``.
+
+    A little-endian flat vector reshaped to ``(2,)*n`` has qubit ``q`` on
+    axis ``n-1-q``; the record's C order puts the top output bit first and
+    the lowest cut bit last.
+    """
+    n = len(out_local) + len(cut_local)
+    axes = tuple(n - 1 - q for q in reversed(out_local)) + tuple(
+        n - 1 - q for q in reversed(cut_local)
+    )
+    return axes, (1 << len(out_local), 1 << len(cut_local))
 
 
 def _split_joint_probs(
@@ -51,13 +68,14 @@ def _split_joint_probs(
     ``b_cut`` is little-endian in the cut index; an empty ``cut_local``
     yields a single column (pure-output fragments at the chain end).
     ``dtype`` is the record precision (float64 default — bit-identical to
-    the historical records; float32 is the reconstruction fast path).
+    the historical records; float32 is the reconstruction fast path).  The
+    record is one transposing copy of ``probs``: every entry moves, none is
+    summed.
     """
-    n = len(out_local) + len(cut_local)
-    idx = np.arange(1 << n)
-    sub_out, sub_cut = split_index(idx, [out_local, cut_local])
-    out = np.zeros((1 << len(out_local), 1 << len(cut_local)), dtype=dtype)
-    np.add.at(out, (sub_out, sub_cut), probs)
+    axes, shape = _record_layout(tuple(out_local), tuple(cut_local))
+    dims = (2,) * len(axes)
+    out = np.empty(shape, dtype=dtype)
+    np.copyto(out.reshape(dims), probs.reshape(dims).transpose(axes))
     return out
 
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -989,12 +989,14 @@ def reconstruct_counts(
     dtype=DEFAULT_DTYPE,
     seed: "int | np.random.Generator | None" = None,
     plan=None,
-) -> dict[str, int]:
-    """Reconstruction rendered as a counts dictionary.
+) -> "Mapping[str, int]":
+    """Reconstruction rendered as counts.
 
     A convenience for downstream code written against backend ``counts``
-    interfaces; ``data``, ``bases``, ``prune=``, ``dtype=`` and ``plan=``
-    are those of :func:`reconstruct_tree_distribution`.  With
+    interfaces (a :class:`~repro.sim.sampler.Counts` on the dense path, a
+    plain ``dict`` on a pruned one); ``data``, ``bases``, ``prune=``,
+    ``dtype=`` and ``plan=`` are those of
+    :func:`reconstruct_tree_distribution`.  With
     ``seed=None`` (default) the distribution is scaled to ``shots`` and
     rounded — deterministic, no RNG is created or consumed.  Passing a
     seed draws one multinomial sample instead; on a pruned reconstruction

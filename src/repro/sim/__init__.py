@@ -8,6 +8,7 @@ from repro.sim.statevector import (
 from repro.sim.density import DensityMatrix, simulate_density
 from repro.sim.unitary import circuit_unitary
 from repro.sim.sampler import (
+    Counts,
     counts_to_probs,
     probs_to_counts,
     sample_counts,
@@ -23,6 +24,7 @@ __all__ = [
     "DensityMatrix",
     "simulate_density",
     "circuit_unitary",
+    "Counts",
     "sample_counts",
     "sample_sparse_counts",
     "counts_to_probs",

@@ -23,6 +23,11 @@ on bitmasks.
 :func:`noisy_variant_probs_reference` evolve every wire of the device — the
 semantics the fake-hardware backend and the noisy fragment cache match
 while evolving only the wires a job touches.
+
+:func:`counts_to_probs_reference` parses a bitstring dictionary key by key
+and :func:`split_joint_probs_reference` scatters a flat distribution into
+``A[b_out, b_cut]`` index by index — the semantics of the count-vector
+divide and the transposing record copy.
 """
 
 from __future__ import annotations
@@ -44,19 +49,25 @@ from repro.cutting.reconstruction import (
     build_tree_fragment_tensor,
     project_to_simplex,
 )
-from repro.exceptions import ReconstructionError
+from repro.exceptions import ReconstructionError, SimulationError
 from repro.cutting.variance import _tree_row_stats
 from repro.linalg.channels import apply_channel
 from repro.linalg.tensor import apply_matrix_to_axes
 from repro.noise.readout import apply_readout_error
 from repro.sim.density import probabilities_from_tensor, zero_density_tensor
 from repro.transpile.pipeline import transpile
-from repro.utils.bits import marginalize_probs, permute_probability_axes
+from repro.utils.bits import (
+    bitstring_to_index,
+    marginalize_probs,
+    permute_probability_axes,
+    split_index,
+)
 
 __all__ = [
     "build_chain_fragment_tensor_reference",
     "build_tree_fragment_tensor_reference",
     "contract_network_reference",
+    "counts_to_probs_reference",
     "dense_reconstruction_reference",
     "downstream_closure_reference",
     "evolve_noisy_tensor_full_device",
@@ -64,6 +75,7 @@ __all__ = [
     "postprocess_reference",
     "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution_reference",
+    "split_joint_probs_reference",
     "tree_reconstruction_variance_reference",
 ]
 
@@ -330,3 +342,31 @@ def noisy_variant_probs_reference(dev, circuit) -> np.ndarray:
     if circuit.num_qubits < n:
         probs = marginalize_probs(probs, range(circuit.num_qubits), n)
     return probs
+
+
+def counts_to_probs_reference(counts: dict, num_qubits: int) -> np.ndarray:
+    """Empirical distribution of a ``{bitstring: count}`` dict, key by key."""
+    probs = np.zeros(1 << num_qubits, dtype=np.float64)
+    total = 0
+    for bitstring, c in counts.items():
+        if len(bitstring) != num_qubits:
+            raise SimulationError(
+                f"bitstring {bitstring!r} length != {num_qubits} qubits"
+            )
+        if c < 0:
+            raise SimulationError(f"negative count for {bitstring!r}")
+        probs[bitstring_to_index(bitstring)] += c
+        total += c
+    if total == 0:
+        raise SimulationError("counts dictionary is empty")
+    return probs / total
+
+
+def split_joint_probs_reference(probs, out_local, cut_local, dtype=np.float64):
+    """``A[b_out, b_cut]`` by scattering every basis index of ``probs``."""
+    n = len(out_local) + len(cut_local)
+    idx = np.arange(1 << n)
+    sub_out, sub_cut = split_index(idx, [out_local, cut_local])
+    out = np.zeros((1 << len(out_local), 1 << len(cut_local)), dtype=dtype)
+    np.add.at(out, (sub_out, sub_cut), probs)
+    return out
