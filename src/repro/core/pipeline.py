@@ -245,7 +245,11 @@ def _resolve_tree_specs(
     if specs is None:
         from repro.cutting.search import find_cut_specs
 
-        budget = max_fragment_qubits or (circuit.num_qubits + 1) // 2 + 1
+        budget = (
+            (circuit.num_qubits + 1) // 2 + 1
+            if max_fragment_qubits is None
+            else max_fragment_qubits
+        )
         return find_cut_specs(
             circuit,
             budget,
@@ -773,7 +777,11 @@ def cut_and_run(
     the pilot and production runs (see :mod:`repro.cutting.resilience`).
     """
     if cuts is None:
-        budget = max_fragment_qubits or (circuit.num_qubits + 1) // 2 + 1
+        budget = (
+            (circuit.num_qubits + 1) // 2 + 1
+            if max_fragment_qubits is None
+            else max_fragment_qubits
+        )
         cuts = find_cuts(circuit, budget)
     if golden == "known" and not golden_map:
         raise CutError('golden="known" requires golden_map')

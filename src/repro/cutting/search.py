@@ -17,13 +17,18 @@ bipartitions.  Two engines sit behind the one API:
   canonical order plus orders biased by a Kernighan–Lin balanced min-cut
   of the qubit-interaction graph
   (:meth:`~repro.circuits.dag.CircuitDag.balanced_qubit_bisection`).
-  Every prefix is scored on the piece's DAG bitmasks — the downstream
-  closure (:meth:`~repro.circuits.dag.CircuitDag.downstream_closure`) and
-  the frontier checks :func:`~repro.cutting.fragments.bipartition` itself
-  runs — so ranking builds no fragment; a candidate's halves are built
-  only when the search takes it, in rank order.  A small beam of first
-  splits is completed by best-first recursion with backtracking, the best
-  completion is chosen by the objective, and a hill-climb then shifts
+  Prefixes are bucketed by cut count and scored lazily, one bucket at a
+  time in ascending cut count, on the piece's DAG bitmasks — the
+  downstream closure
+  (:meth:`~repro.circuits.dag.CircuitDag.downstream_closure`) and the
+  frontier checks :func:`~repro.cutting.fragments.bipartition` itself
+  runs — so ranking builds no fragment and a caller that takes only the
+  first few candidates never scores the costlier buckets; a candidate's
+  halves are built only when the search takes it, in rank order.  A
+  small beam of first splits is completed by best-first recursion with
+  backtracking; each completion is scored from the worklist pieces it
+  already holds (no :func:`~repro.cutting.tree.partition_tree` replay),
+  the best is kept by the objective, and a hill-climb then shifts
   individual cut points along their wires (and tries dropping whole
   groups) while improvement lasts.
 
@@ -71,6 +76,7 @@ from repro.cutting.tree import (
     _carry_groups,
     _cut_piece,
     _Piece,
+    _split_components,
     partition_tree,
 )
 from repro.exceptions import CutError
@@ -185,6 +191,15 @@ def search_cut_specs(
         raise CutError("shots must be positive")
     if not len(circuit):
         raise CutError("cannot cut a circuit with no instructions")
+    # wire cuts never split an instruction: one wider than the budget makes
+    # every partition infeasible, however long the engines would look
+    for index, inst in enumerate(circuit):
+        if len(inst.qubits) > max_fragment_qubits:
+            raise CutError(
+                f"no cut set fits every fragment in <= {max_fragment_qubits} "
+                f"qubits: instruction {index} ({inst.name}) acts on "
+                f"{len(inst.qubits)} qubits"
+            )
 
     min_fragments = num_fragments or max(
         2, -(-circuit.num_qubits // max_fragment_qubits)
@@ -213,12 +228,12 @@ def search_cut_specs(
     first_split_combos = sum(
         math.comb(positions, k) for k in range(1, min(max_cuts, 3) + 1)
     )
+    # the exhaustive engine's state count explodes with fragments and cuts
+    small_shape = min_fragments <= 3 and max_cuts <= 4
     if engine == "auto":
         engine = (
             "exhaustive"
-            if first_split_combos <= _AUTO_EXHAUSTIVE_COMBOS
-            and min_fragments <= 3
-            and max_cuts <= 4
+            if first_split_combos <= _AUTO_EXHAUSTIVE_COMBOS and small_shape
             else "greedy"
         )
 
@@ -226,7 +241,11 @@ def search_cut_specs(
         best = _exhaustive(ctx)
     else:
         best = _greedy(ctx)
-        if best is None and first_split_combos <= 25 * _AUTO_EXHAUSTIVE_COMBOS:
+        if (
+            best is None
+            and small_shape
+            and first_split_combos <= 25 * _AUTO_EXHAUSTIVE_COMBOS
+        ):
             # rescue pass: the prefix heuristic found nothing but the
             # candidate space is small enough to settle it exactly.
             best = _exhaustive(ctx)
@@ -320,7 +339,11 @@ class _SearchContext:
 
         Returns ``(value, tree)``, or ``None`` when the specs do not induce
         a feasible partition.  ``pieces`` skips the partition replay when
-        the caller already holds the worklist state the specs produced.
+        the caller already holds the worklist state the specs produced —
+        the exhaustive engine's pieces, and each greedy completion's
+        worklist after :func:`~repro.cutting.tree._split_components`, i.e.
+        the pieces :func:`partition_tree` would assemble.  Results are
+        memoised by spec sequence either way.
         """
         key = tuple(
             tuple((c.wire, c.gate_index) for c in s.cuts) for s in specs
@@ -547,10 +570,16 @@ def _prefix_splits(ctx: _SearchContext, piece: _Piece, group: int):
     it induces a candidate bipartition whose cut points are the last
     prefix instruction on each crossing wire; enumerating prefixes of a
     few well-chosen orders covers balanced and min-cut-shaped splits
-    without combinatorial blowup.  Every prefix is scored on the piece's
-    DAG bitmasks (:func:`_score_split`) and ranked by ``(cuts, max width,
-    width imbalance, discovery order)``; the generator then builds the
-    ``(spec, halves)`` of each candidate only when the caller takes it.
+    without combinatorial blowup.  Candidates rank by ``(cuts, max width,
+    width imbalance, discovery order)``.  Since the cut count is known
+    before scoring, the distinct point lists are bucketed by it and
+    scored lazily: one bucket is scored on the piece's DAG bitmasks
+    (:func:`_score_split`), sorted and yielded before the next bucket is
+    touched, so a caller taking the first few candidates never scores the
+    costlier buckets.  The ``(spec, halves)`` of each candidate is built
+    only when the caller takes it.  A valid split's cut points are fixed
+    by its upstream half, so distinct point lists never yield the same
+    split twice.
     """
     circuit = piece.circuit
     num_qubits = circuit.num_qubits
@@ -563,41 +592,35 @@ def _prefix_splits(ctx: _SearchContext, piece: _Piece, group: int):
         orders.append(_biased_topological_order(circuit, dag, half_a))
         orders.append(_biased_topological_order(circuit, dag, half_b))
 
+    # orders share many prefixes; each distinct point list is kept once,
+    # in discovery order, under its cut count
     tried: set = set()
-    seen: set = set()
-    ranked = []
+    buckets: dict[int, list] = {}
     for order in orders:
         counts = [0] * num_qubits
         for node in order[:-1]:
             for wire in circuit[node].qubits:
                 counts[wire] += 1
             # a prefix holds the first counts[w] gates of every wire w
-            points = [
+            points = tuple(
                 (wire, seg[c - 1])
                 for wire, (seg, c) in enumerate(zip(segments, counts))
                 if 0 < c < len(seg)
-            ]
-            if not points or len(points) > ctx.max_cuts:
-                continue
-            # orders share many prefixes; a repeat scores the same again
-            if tuple(points) in tried:
-                continue
-            tried.add(tuple(points))
-            scored = _score_split(piece, dag, points, group)
-            if scored is None or scored[0] in seen:
-                continue
-            seen.add(scored[0])
-            widths = scored[1]
-            key = (
-                len(points),
-                max(widths),
-                abs(widths[0] - widths[1]),
-                len(ranked),
             )
-            ranked.append((key, points))
-    ranked.sort()
-    for _, points in ranked:
-        yield _split_piece(piece, points, group)
+            if not points or len(points) > ctx.max_cuts or points in tried:
+                continue
+            tried.add(points)
+            buckets.setdefault(len(points), []).append(points)
+    for cuts in sorted(buckets):
+        ranked = []
+        for found, points in enumerate(buckets[cuts]):
+            scored = _score_split(piece, dag, points, group)
+            if scored is not None:
+                up, down = scored[1]
+                ranked.append((max(up, down), abs(up - down), found, points))
+        ranked.sort()
+        for *_, points in ranked:
+            yield _split_piece(piece, points, group)
 
 
 def _complete_greedily(
@@ -606,7 +629,12 @@ def _complete_greedily(
     specs: "list[CutSpec]",
     used: int,
 ):
-    """Best-first completion of a partial partition, with backtracking."""
+    """Best-first completion of a partial partition, with backtracking.
+
+    Returns ``(specs, pieces)`` — the completed spec sequence and the
+    worklist it left, exactly the pieces :func:`partition_tree` would
+    build from those specs before its component split — or ``None``.
+    """
     n = len(pieces)
     widths = [p.circuit.num_qubits for p in pieces]
     need = [j for j in range(n) if widths[j] > ctx.budget]
@@ -618,7 +646,7 @@ def _complete_greedily(
     if not need:
         if ctx.num_fragments is not None and n != ctx.num_fragments:
             return None
-        return list(specs)
+        return list(specs), pieces
     remaining = ctx.max_cuts - used
     if remaining <= 0 or len(need) > remaining:
         return None
@@ -688,16 +716,22 @@ def _hill_climb(ctx: _SearchContext, scored):
 
 
 def _greedy(ctx: _SearchContext):
-    """Beam over first splits, greedy completion, objective pick, climb."""
+    """Beam over first splits, greedy completion, objective pick, climb.
+
+    Each completion is scored from the worklist it already holds (no
+    :func:`partition_tree` replay) as soon as it is found; only the best
+    is kept.
+    """
     root = ctx.root_piece()
-    solutions: list = []
+    best = None
     for spec, halves in islice(_prefix_splits(ctx, root, 0), _BEAM_WIDTH):
         completed = _complete_greedily(ctx, halves, [spec], spec.num_cuts)
-        if completed is not None:
-            solutions.append(completed)
-    best = None
-    for specs in solutions:
-        scored = ctx.evaluate(specs)
+        if completed is None:
+            continue
+        specs, pieces = completed
+        scored = ctx.evaluate(
+            specs, [c for p in pieces for c in _split_components(p)]
+        )
         if scored is not None and (best is None or scored[0] < best[0]):
             best = scored
     if best is None:

@@ -19,6 +19,10 @@ matches while writing qubit order block by block.
 downstream closure, which :class:`~repro.circuits.dag.CircuitDag` computes
 on bitmasks.
 
+:func:`prefix_splits_reference` is the greedy cut search's candidate
+ranking done eagerly — every distinct prefix scored, then one sort — the
+sequence the search's lazily bucketed generator yields.
+
 :func:`evolve_noisy_tensor_full_device` and
 :func:`noisy_variant_probs_reference` evolve every wire of the device — the
 semantics the fake-hardware backend and the noisy fragment cache match
@@ -73,6 +77,7 @@ __all__ = [
     "evolve_noisy_tensor_full_device",
     "noisy_variant_probs_reference",
     "postprocess_reference",
+    "prefix_splits_reference",
     "reconstruct_chain_distribution_reference",
     "reconstruct_tree_distribution_reference",
     "split_joint_probs_reference",
@@ -370,3 +375,62 @@ def split_joint_probs_reference(probs, out_local, cut_local, dtype=np.float64):
     out = np.zeros((1 << len(out_local), 1 << len(cut_local)), dtype=dtype)
     np.add.at(out, (sub_out, sub_cut), probs)
     return out
+
+
+def prefix_splits_reference(ctx, piece, group: int) -> list:
+    """Every ranked ``(spec, halves)`` candidate split of one piece.
+
+    Reference semantics for :func:`repro.cutting.search._prefix_splits`:
+    each distinct prefix point list of every candidate order is scored up
+    front, splits whose upstream half was already seen are dropped, and
+    the whole list is sorted once by ``(cuts, max width, width imbalance,
+    discovery order)`` before any split is built.
+    """
+    from repro.circuits.dag import CircuitDag
+    from repro.cutting.search import (
+        _biased_topological_order,
+        _score_split,
+        _split_piece,
+    )
+
+    circuit = piece.circuit
+    num_qubits = circuit.num_qubits
+    dag = CircuitDag(circuit)
+    segments = [dag.wire_segments(w) for w in range(num_qubits)]
+    orders = [list(range(len(circuit)))]
+    if num_qubits >= 4:
+        half_a, half_b = dag.balanced_qubit_bisection(seed=ctx.seed or 0)
+        orders.append(_biased_topological_order(circuit, dag, half_a))
+        orders.append(_biased_topological_order(circuit, dag, half_b))
+    tried: set = set()
+    seen: set = set()
+    ranked = []
+    for order in orders:
+        counts = [0] * num_qubits
+        for node in order[:-1]:
+            for wire in circuit[node].qubits:
+                counts[wire] += 1
+            points = [
+                (wire, seg[c - 1])
+                for wire, (seg, c) in enumerate(zip(segments, counts))
+                if 0 < c < len(seg)
+            ]
+            if not points or len(points) > ctx.max_cuts:
+                continue
+            if tuple(points) in tried:
+                continue
+            tried.add(tuple(points))
+            scored = _score_split(piece, dag, points, group)
+            if scored is None or scored[0] in seen:
+                continue
+            seen.add(scored[0])
+            widths = scored[1]
+            key = (
+                len(points),
+                max(widths),
+                abs(widths[0] - widths[1]),
+                len(ranked),
+            )
+            ranked.append((key, points))
+    ranked.sort()
+    return [_split_piece(piece, points, group) for _, points in ranked]

@@ -11,6 +11,8 @@ The quality pins are the contract of :mod:`repro.cutting.search`:
   chain/tree circuit families.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,13 +22,20 @@ from repro.backends import IdealBackend
 from repro.circuits import ghz_circuit, random_circuit
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDag
-from repro.core.pipeline import cut_and_run_chain, cut_and_run_tree
+from repro.core.pipeline import (
+    cut_and_run,
+    cut_and_run_chain,
+    cut_and_run_tree,
+)
 from repro.cutting import CutSpec, find_cut_specs, find_cuts, partition_tree
 from repro.cutting.chain import partition_chain
+import repro.cutting.search as search_mod
 from repro.cutting.search import (
     CutSearchResult,
     _biased_topological_order,
+    _prefix_splits,
     _score_split,
+    _SearchContext,
     _split_piece,
     search_cut_specs,
 )
@@ -43,7 +52,7 @@ from repro.metrics import total_variation
 from repro.sim import simulate_statevector
 
 from helpers import two_block_circuit
-from oracles import downstream_closure_reference
+from oracles import downstream_closure_reference, prefix_splits_reference
 
 
 def _search_family(seed: int) -> Circuit:
@@ -87,6 +96,41 @@ class TestSearchBasics:
     def test_no_fit_raises(self):
         with pytest.raises(CutError, match="no cut set"):
             find_cut_specs(ghz_circuit(4), 1)
+
+    def test_instruction_wider_than_budget_raises_up_front(self, monkeypatch):
+        # no fragment of 1 qubit can hold a cx: neither engine may run
+        entered = []
+        monkeypatch.setattr(
+            search_mod, "_greedy", lambda ctx: entered.append("greedy")
+        )
+        monkeypatch.setattr(
+            search_mod, "_exhaustive", lambda ctx: entered.append("exhaustive")
+        )
+        qc, _ = chain_cut_circuit(3, fresh_per_fragment=2, seed=0)
+        with pytest.raises(CutError, match=r"instruction \d+ \(cx\) acts on 2"):
+            find_cut_specs(qc, 1)
+        assert entered == []
+
+    def test_failed_greedy_skips_rescue_on_wide_shapes(self, monkeypatch):
+        # budget 2 needs more than 3 fragments: the exhaustive rescue's
+        # state space is out of reach, so the failed greedy pass is final
+        calls = {"greedy": 0, "exhaustive": 0}
+        greedy = search_mod._greedy
+
+        def counting_greedy(ctx):
+            calls["greedy"] += 1
+            return greedy(ctx)
+
+        def counting_exhaustive(ctx):
+            calls["exhaustive"] += 1
+            return None
+
+        monkeypatch.setattr(search_mod, "_greedy", counting_greedy)
+        monkeypatch.setattr(search_mod, "_exhaustive", counting_exhaustive)
+        qc, _ = chain_cut_circuit(3, fresh_per_fragment=2, seed=0)
+        with pytest.raises(CutError, match="no cut set"):
+            find_cut_specs(qc, 2)
+        assert calls == {"greedy": 1, "exhaustive": 0}
 
     def test_max_cuts_too_small_for_fragments(self):
         with pytest.raises(CutError, match="max_cuts"):
@@ -291,6 +335,21 @@ class TestPipelineAutoMode:
         )
         assert res.tree.num_fragments == 3
 
+    def test_zero_budget_reaches_search_validation(self):
+        # 0 is a budget, not "use the default": it must fail validation
+        qc, _ = chain_cut_circuit(
+            3, cuts_per_group=1, fresh_per_fragment=2, depth=1, seed=3
+        )
+        with pytest.raises(CutError, match="at least 1"):
+            cut_and_run_tree(
+                qc, IdealBackend(), cuts=None, max_fragment_qubits=0,
+                shots=100, seed=1,
+            )
+        with pytest.raises(CutError, match="at least 1"):
+            cut_and_run(
+                qc, IdealBackend(), max_fragment_qubits=0, shots=100, seed=1
+            )
+
 
 class TestDagSearchHelpers:
     def test_wire_cut_positions_excludes_last(self):
@@ -402,6 +461,76 @@ class TestSearchGoldens:
         assert res.engine == used
 
 
+#: circuit families of the differential pin, one circuit per seed
+_DIFF_FAMILIES = {
+    "random": lambda s: random_circuit(4 + s % 4, depth=2 + s % 3, seed=s),
+    "chain": lambda s: chain_cut_circuit(
+        3 + s % 2, fresh_per_fragment=2, seed=s
+    )[0],
+    "tree": lambda s: tree_cut_circuit(
+        [0, s % 2], fresh_per_fragment=2, seed=s
+    )[0],
+    "golden-tree": lambda s: golden_tree_circuit(
+        [0, 1], planted_groups=(s % 2,), depth=1, seed=s
+    )[0],
+}
+
+#: (objective, topology) of every differential search
+_DIFF_OPTIONS = [
+    ("width", "tree"),
+    ("width", "chain"),
+    ("width", "dag"),
+    ("cost", "tree"),
+]
+
+#: family -> digest of its greedy search outcomes over seeds 0..4
+_DIFF_DIGESTS = {
+    "random": "6a8f8465744cf640",
+    "chain": "c5faf5752ff2e69f",
+    "tree": "3e9e64d11fd48d6d",
+    "golden-tree": "91b5ad984f2a161e",
+}
+
+
+def _family_digest(family: str) -> str:
+    """Digest of every greedy search outcome of one family: specs, value
+    (cost to 6 significant digits), evaluations and engine, or the
+    error message."""
+    lines = []
+    for seed in range(5):
+        qc = _DIFF_FAMILIES[family](seed)
+        for objective, topology in _DIFF_OPTIONS:
+            try:
+                res = search_cut_specs(
+                    qc,
+                    (qc.num_qubits + 1) // 2 + 1,
+                    objective=objective,
+                    topology=topology,
+                    engine="greedy",
+                    seed=seed,
+                )
+            except CutError as exc:
+                lines.append(f"CutError: {exc}")
+                continue
+            value = (
+                res.value if isinstance(res.value, tuple) else f"{res.value:.6g}"
+            )
+            lines.append(
+                repr((_spec_key(res.specs), value, res.evaluations, res.engine))
+            )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestSearchDifferential:
+    """Greedy outcomes over random and harness circuit families, pinned
+    as one digest per family: any change to candidate order, scoring,
+    completion or climb shows up here even where the goldens agree."""
+
+    @pytest.mark.parametrize("family", sorted(_DIFF_DIGESTS))
+    def test_family_outcomes_pinned(self, family):
+        assert _family_digest(family) == _DIFF_DIGESTS[family]
+
+
 def _with_idle_wire(qc: Circuit) -> Circuit:
     """``qc`` widened by one wire no instruction touches."""
     return Circuit(qc.num_qubits + 1, qc.instructions, name=qc.name)
@@ -427,6 +556,27 @@ def _root_piece(qc: Circuit) -> _Piece:
         entering={},
         exiting={},
     )
+
+
+def _grown_pieces(qc: Circuit, data) -> "list[_Piece]":
+    """The root piece of ``qc`` plus pieces carrying entering and exiting
+    groups, grown by splitting random pieces at random valid prefixes."""
+    pieces = [_root_piece(qc)]
+    for group in range(2):
+        piece = data.draw(st.sampled_from(pieces))
+        order = list(range(len(piece.circuit)))
+        splits = []
+        for k in range(1, len(order)):
+            points = _prefix_points(CircuitDag(piece.circuit), order, k)
+            if not points:
+                continue
+            try:
+                splits.append(_split_piece(piece, points, group)[1])
+            except CutError:
+                continue
+        if splits:
+            pieces.extend(data.draw(st.sampled_from(splits)))
+    return pieces
 
 
 class TestFrontierProperties:
@@ -484,23 +634,7 @@ class TestFrontierProperties:
         qc = random_circuit(num_qubits, depth=depth, seed=seed)
         if idle:
             qc = _with_idle_wire(qc)
-        # grow pieces carrying entering and exiting groups by splitting
-        # random pieces at random valid prefixes
-        pieces = [_root_piece(qc)]
-        for group in range(2):
-            piece = data.draw(st.sampled_from(pieces))
-            order = list(range(len(piece.circuit)))
-            splits = []
-            for k in range(1, len(order)):
-                points = _prefix_points(CircuitDag(piece.circuit), order, k)
-                if not points:
-                    continue
-                try:
-                    splits.append(_split_piece(piece, points, group)[1])
-                except CutError:
-                    continue
-            if splits:
-                pieces.extend(data.draw(st.sampled_from(splits)))
+        pieces = _grown_pieces(qc, data)
         group = 2
         for piece in pieces:
             dag = CircuitDag(piece.circuit)
@@ -530,3 +664,111 @@ class TestFrontierProperties:
                     assert widths == tuple(
                         h.circuit.num_qubits for h in halves
                     )
+
+
+class TestLazyPrefixRanking:
+    """The greedy engine's lazily bucketed candidate generator against the
+    eager rank-everything-then-sort oracle, and the engine's reuse of the
+    worklists its completions already hold."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_qubits=st.integers(min_value=3, max_value=7),
+        depth=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_cuts=st.integers(min_value=1, max_value=5),
+        idle=st.booleans(),
+        data=st.data(),
+    )
+    def test_drained_generator_matches_eager_ranking(
+        self, num_qubits, depth, seed, max_cuts, idle, data
+    ):
+        qc = random_circuit(num_qubits, depth=depth, seed=seed)
+        if idle:
+            qc = _with_idle_wire(qc)
+        ctx = _SearchContext(
+            circuit=qc,
+            budget=num_qubits,
+            num_fragments=None,
+            max_cuts=max_cuts,
+            objective="width",
+            topology="tree",
+            golden_discount=False,
+            shots=1000,
+            seed=seed,
+        )
+        for piece in _grown_pieces(qc, data):
+            got = list(_prefix_splits(ctx, piece, 2))
+            assert got == prefix_splits_reference(ctx, piece, 2)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_qubits=st.integers(min_value=3, max_value=6),
+        depth=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=10_000),
+        idle=st.booleans(),
+        data=st.data(),
+    )
+    def test_cut_points_fixed_by_upstream_half(
+        self, num_qubits, depth, seed, idle, data
+    ):
+        # two distinct point lists never share a valid upstream half, so
+        # the generator needs no seen-split filter beyond its point dedupe
+        qc = random_circuit(num_qubits, depth=depth, seed=seed)
+        if idle:
+            qc = _with_idle_wire(qc)
+        for piece in _grown_pieces(qc, data):
+            dag = CircuitDag(piece.circuit)
+            order = list(range(len(piece.circuit)))
+            for k in range(1, len(order)):
+                points = _prefix_points(dag, order, k)
+                if not points:
+                    continue
+                scored = _score_split(piece, dag, points, 2)
+                if scored is None:
+                    continue
+                up = scored[0]
+                from_mask = [
+                    (wire, (mask & up).bit_length() - 1)
+                    for wire, mask in enumerate(dag.wire_masks)
+                    if mask & up and mask & ~up
+                ]
+                assert from_mask == points
+
+    @pytest.mark.parametrize("topology", ["tree", "chain", "dag"])
+    def test_completions_score_without_replay(self, monkeypatch, topology):
+        completions: list = []
+        replayed: list = []
+        complete = search_mod._complete_greedily
+        replay = search_mod.partition_tree
+
+        def recording_complete(ctx, pieces, specs, used):
+            done = complete(ctx, pieces, specs, used)
+            if done is not None:
+                completions.append(_spec_key(done[0]))
+            return done
+
+        def recording_replay(circuit, specs):
+            replayed.append(_spec_key(specs))
+            return replay(circuit, specs)
+
+        monkeypatch.setattr(search_mod, "_complete_greedily", recording_complete)
+        monkeypatch.setattr(search_mod, "partition_tree", recording_replay)
+        qc = chain_cut_circuit(4, fresh_per_fragment=2, seed=7)[0]
+        res = search_cut_specs(qc, 4, engine="greedy", topology=topology)
+        assert completions
+        assert not set(completions) & set(replayed)
+        # the winner's tree is the one partition_tree builds from its specs
+        assert res.tree.describe() == replay(qc, res.specs).describe()
+
+
+def _spec_key(specs) -> tuple:
+    return tuple(tuple((c.wire, c.gate_index) for c in s.cuts) for s in specs)
